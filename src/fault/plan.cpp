@@ -34,6 +34,20 @@ bool set_error(std::string* error, std::string msg) {
   return false;
 }
 
+/// A finite JSON number (1e999 parses to infinity).
+bool is_finite_number(const obs::JsonValue& v) {
+  return v.is_number() && std::isfinite(v.as_number());
+}
+
+/// A non-negative integer a double holds exactly (at most 2^53), so the
+/// cast to an index or seed is defined and loses nothing.
+bool is_exact_index(const obs::JsonValue& v) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!is_finite_number(v)) return false;
+  const double x = v.as_number();
+  return x >= 0.0 && x <= kMaxExact && std::floor(x) == x;
+}
+
 }  // namespace
 
 std::string_view fault_kind_name(FaultKind k) {
@@ -100,8 +114,8 @@ FaultPlan FaultPlan::from_json(const obs::JsonValue& doc, std::string* error) {
   }
   std::uint64_t seed = 1;
   if (const obs::JsonValue* s = doc.get("seed")) {
-    if (!s->is_number() || s->as_number() < 0) {
-      set_error(error, "fault plan: seed must be a non-negative number");
+    if (!is_exact_index(*s)) {
+      set_error(error, "fault plan: seed must be a non-negative integer");
       return {};
     }
     seed = static_cast<std::uint64_t>(s->as_number());
@@ -128,28 +142,28 @@ FaultPlan FaultPlan::from_json(const obs::JsonValue& doc, std::string* error) {
       return {};
     }
     const obs::JsonValue* t = e.get("t");
-    if (t == nullptr || !t->is_number() || t->as_number() < 0.0) {
-      set_error(error, at + ": 't' must be a non-negative number");
+    if (t == nullptr || !is_finite_number(*t) || t->as_number() < 0.0) {
+      set_error(error, at + ": 't' must be a finite non-negative number");
       return {};
     }
     ev.t_s = t->as_number();
     if (const obs::JsonValue* ap = e.get("ap")) {
-      if (!ap->is_number() || ap->as_number() < 0) {
+      if (!is_exact_index(*ap)) {
         set_error(error, at + ": 'ap' must be a non-negative integer");
         return {};
       }
       ev.ap = static_cast<std::size_t>(ap->as_number());
     }
     if (const obs::JsonValue* d = e.get("duration")) {
-      if (!d->is_number() || d->as_number() < 0.0) {
-        set_error(error, at + ": 'duration' must be non-negative");
+      if (!is_finite_number(*d) || d->as_number() < 0.0) {
+        set_error(error, at + ": 'duration' must be finite and non-negative");
         return {};
       }
       ev.duration_s = d->as_number();
     }
     if (const obs::JsonValue* m = e.get("magnitude")) {
-      if (!m->is_number()) {
-        set_error(error, at + ": 'magnitude' must be a number");
+      if (!is_finite_number(*m)) {
+        set_error(error, at + ": 'magnitude' must be a finite number");
         return {};
       }
       ev.magnitude = m->as_number();

@@ -23,23 +23,6 @@ double idle_slot_s(const MacParams& params) {
          params.airtime.turnaround_s;
 }
 
-/// Latency sample on delivery, when the caller asked for them.
-void note_delivery(MacReport& report, const MacParams& params, const Packet& p,
-                   double t) {
-  if (params.record_latency) report.frame_latency_s.push_back(t - p.enqueue_s);
-}
-
-void finalize(MacReport& report, const MacParams& params) {
-  report.duration_s = params.duration_s;
-  report.total_goodput_mbps = 0.0;
-  for (ClientStats& c : report.per_client) {
-    c.goodput_mbps = static_cast<double>(c.delivered) *
-                     static_cast<double>(params.psdu_bytes) * 8.0 /
-                     params.duration_s / 1e6;
-    report.total_goodput_mbps += c.goodput_mbps;
-  }
-}
-
 /// Advance the fault timeline to virtual time t and forward new injection
 /// edges to the controller's latency bookkeeping.
 void pump_mac_faults(fault::FaultSession* fault,
@@ -139,10 +122,10 @@ class FlowTracker {
   std::map<std::pair<std::size_t, std::uint32_t>, Accum> acc_;
 };
 
-/// Goodput from actual delivered bytes — traffic-mode packets are not all
-/// params.psdu_bytes, so the legacy delivered-count finalize() would lie.
-void finalize_traffic(MacReport& report, const MacParams& params,
-                      const std::vector<double>& client_bytes) {
+/// Goodput from delivered bytes. Saturated-fill packets are all
+/// params.psdu_bytes, so this is exactly delivered * psdu_bytes there.
+void finalize(MacReport& report, const MacParams& params,
+              const std::vector<double>& client_bytes) {
   report.duration_s = params.duration_s;
   report.total_goodput_mbps = 0.0;
   for (std::size_t c = 0; c < report.per_client.size(); ++c) {
@@ -152,50 +135,90 @@ void finalize_traffic(MacReport& report, const MacParams& params,
   }
 }
 
-/// Traffic-mode MAC: arrivals come from params.traffic instead of the
-/// synthetic saturated fill, a Scheduler (null = FIFO) picks which clients
-/// each slot serves, and each selected client may aggregate several queued
-/// packets into its stream (params.agg). `jmb` toggles joint transmissions
-/// plus measurement epochs versus one-client-at-a-time 802.11.
-MacReport run_traffic_mac(std::size_t n_aps, std::size_t n_clients,
-                          std::size_t n_streams,
-                          const LinkStateFn& link_state,
-                          const MacParams& params, bool jmb) {
+/// Adapts a plain link-state callback to the masked signature the loop
+/// speaks; the mask is ignored.
+MaskedLinkStateFn ignore_mask(const LinkStateFn& link_state) {
+  return [&link_state](std::size_t client, const std::vector<std::uint8_t>&) {
+    return link_state(client);
+  };
+}
+
+/// The one MAC event loop behind all four entry points.
+///
+/// Transmit mode: `joint` = JMB (up to n_streams clients per slot, joint
+/// frame airtime, channel-measurement epochs, lead election); otherwise
+/// single-AP 802.11 (one client per slot from its best up AP).
+/// Packet supply: params.traffic when set, else the round-robin saturated
+/// fill. `fault` and `resilience` may be null (no-ops). See DESIGN.md §9
+/// for the per-mode behaviours this loop keeps.
+MacReport run_mac(bool joint, std::size_t n_aps, std::size_t n_clients,
+                  std::size_t n_streams, const MaskedLinkStateFn& link_state,
+                  const MacParams& params, fault::FaultSession* fault,
+                  fault::ResilienceController* resilience) {
   MacReport report;
   report.per_client.resize(n_clients);
   Rng rng(params.seed);
   DownlinkQueue queue;
-  TrafficSource& src = *params.traffic;
+  TrafficSource* const src = params.traffic;
+  // Scheduling, aggregation and delimiters are traffic-mode features; the
+  // saturated fill serves FIFO, one bare MPDU per client.
+  Scheduler* const sched = src ? params.scheduler : nullptr;
+  const AggLimits agg = src ? params.agg : AggLimits{};
+  const std::size_t delimiter_bytes = src ? kMpduDelimiterBytes : 0;
   FlowTracker flows;
   std::vector<double> client_bytes(n_clients, 0.0);
+
+  double t = 0.0;
+  double next_measurement = 0.0;  // JMB only
+  std::size_t next_forced = 0;    // cursor into params.remeasure_at
+  std::uint64_t next_id = 0;
+  std::size_t rr = 0;  // round-robin cursor of the saturated fill
+  std::size_t lead = 0;
+  std::size_t lead_misses = 0;
+  LatencyAccumulator latency;
+
+  // The AP set handed to link_state. 802.11 re-associates with the APs
+  // the session has up; JMB transmits on the set it *believes* in — the
+  // controller's survivors, or everyone when no controller is attached.
+  std::vector<std::uint8_t> up(n_aps, 1);
+  const auto aps = [&]() -> const std::vector<std::uint8_t>& {
+    return joint && resilience ? resilience->active() : up;
+  };
 
   // Achievable-rate hint for rate-aware policies: the PHY rate the client
   // would get right now, in Mb/s.
   const RateHintFn rate_hint = [&](std::size_t client) {
-    const LinkState ls = link_state(client);
-    const auto r = rate::select_rate(ls.subcarrier_snr);
+    const auto r = rate::select_rate(link_state(client, aps()).subcarrier_snr);
     if (!r) return 0.0;
     return static_cast<double>(phy::rate_set()[*r].n_dbps()) *
            params.airtime.sample_rate_hz /
            static_cast<double>(phy::kSymbolLen) / 1e6;
   };
 
-  double t = 0.0;
-  double next_measurement = 0.0;  // JMB only
-  std::size_t next_forced = 0;    // cursor into params.remeasure_at
-
   std::vector<std::size_t> picked;
   std::vector<std::uint8_t> taken(n_clients, 0);
+  std::vector<AggFrame> frames;
+  std::vector<LinkState> states;
+  std::vector<Packet> requeue;
 
   while (t < params.duration_s) {
-    report.offered_packets += src.drain_until(t, queue);
-    report.max_queue_depth =
-        std::max(report.max_queue_depth, static_cast<double>(queue.size()));
+    pump_mac_faults(fault, resilience, t);
+    if (fault && !joint) {
+      for (std::size_t a = 0; a < n_aps; ++a) up[a] = fault->ap_down(a) ? 0 : 1;
+    }
+    if (src) {
+      report.offered_packets += src->drain_until(t, queue);
+      report.max_queue_depth =
+          std::max(report.max_queue_depth, static_cast<double>(queue.size()));
+    }
 
-    if (jmb) {
+    // --- channel-measurement epoch: coherence cadence, forced hand-off
+    // remeasures, or a controller request after a quarantine ---
+    if (joint) {
       const bool forced = next_forced < params.remeasure_at.size() &&
                           params.remeasure_at[next_forced] <= t;
-      if (t >= next_measurement || forced) {
+      if (t >= next_measurement || forced ||
+          (resilience && resilience->needs_remeasure())) {
         while (next_forced < params.remeasure_at.size() &&
                params.remeasure_at[next_forced] <= t) {
           ++next_forced;
@@ -207,462 +230,27 @@ MacReport run_traffic_mac(std::size_t n_aps, std::size_t n_clients,
         ++report.measurement_epochs;
         next_measurement = t + params.coherence_time_s;
         if (params.on_measure) params.on_measure(report.measurement_epochs, t);
+        if (resilience) resilience->on_remeasure(t);
         continue;
       }
     }
 
-    if (queue.empty()) {
+    if (src && queue.empty()) {
       // Idle: jump the clock to the next event. drain_until guarantees
       // next_arrival_s() > t, so this always makes progress.
-      double next_t = src.next_arrival_s();
-      if (jmb) next_t = std::min(next_t, next_measurement);
+      double next_t = src->next_arrival_s();
+      if (joint) next_t = std::min(next_t, next_measurement);
       if (!(next_t > t)) next_t = t + idle_slot_s(params);
       if (next_t >= params.duration_s) break;
       t = next_t;
       continue;
     }
 
-    // --- user selection (Scheduler policy; null = FIFO order) ---
-    std::vector<std::size_t> selected;
-    if (params.scheduler) {
-      selected = params.scheduler->select(queue, n_streams, t, &rate_hint);
-    } else {
-      selected = queue.clients_fifo();
-    }
-    picked.clear();
-    std::fill(taken.begin(), taken.end(), 0);
-    for (std::size_t c : selected) {
-      if (picked.size() >= n_streams) break;
-      if (c >= n_clients || taken[c] || queue.front_of(c) == nullptr) continue;
-      taken[c] = 1;
-      picked.push_back(c);
-    }
-    if (picked.empty()) {
-      // A misbehaving policy must not stall a backlogged queue.
-      for (std::size_t c : queue.clients_fifo()) {
-        if (picked.size() >= n_streams) break;
-        picked.push_back(c);
-      }
-    }
-
-    std::vector<AggFrame> frames;
-    frames.reserve(picked.size());
-    std::size_t frame_bytes = 0;  // largest stream incl. delimiters
-    for (std::size_t c : picked) {
-      AggFrame f = queue.pop_aggregate(c, params.agg);
-      if (f.mpdus.empty()) continue;
-      report.aggregated_mpdus += f.mpdus.size() - 1;
-      frame_bytes =
-          std::max(frame_bytes,
-                   f.total_bytes + kMpduDelimiterBytes * f.mpdus.size());
-      frames.push_back(std::move(f));
-    }
-    if (frames.empty()) continue;
-    if (jmb) ++report.joint_transmissions;
-
-    // Worst-client common rate, exactly as the legacy joint path: the
-    // effective channel is k*I, so all streams run one rate.
-    std::vector<LinkState> states;
-    states.reserve(frames.size());
-    std::size_t rate_idx = 0;
-    bool reachable = true;
-    bool first = true;
-    for (const AggFrame& f : frames) {
-      states.push_back(link_state(f.client));
-      const auto r = rate::select_rate(states.back().subcarrier_snr);
-      if (!r) {
-        reachable = false;
-        break;
-      }
-      if (first || *r < rate_idx) rate_idx = *r;
-      first = false;
-    }
-
-    // Unreachable member: the attempt burns base-rate airtime, all fail.
-    const phy::Mcs& mcs = phy::rate_set()[reachable ? rate_idx : 0];
-    const double airtime =
-        jmb ? rate::joint_frame_airtime_s(frame_bytes, mcs, params.airtime)
-            : rate::frame_airtime_s(frame_bytes, mcs,
-                                    params.airtime.sample_rate_hz);
-    t += airtime;
-    report.data_airtime_s += airtime;
-
-    // Losses decoupled per stream; within a stream each MPDU gets its own
-    // delivery draw (block-ACK semantics: an A-MPDU can partially fail).
-    std::vector<Packet> requeue;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      AggFrame& f = frames[i];
-      double served_bytes = 0.0;
-      for (Packet& p : f.mpdus) {
-        const bool ok =
-            reachable &&
-            rng.uniform() >= rate::frame_error_prob(
-                                 states[i].subcarrier_snr, rate_idx, p.bytes);
-        if (ok) {
-          ++report.per_client[p.client].delivered;
-          client_bytes[p.client] += static_cast<double>(p.bytes);
-          served_bytes += static_cast<double>(p.bytes);
-          flows.deliver(p, t);
-          note_delivery(report, params, p, t);
-        } else {
-          ++report.per_client[p.client].failed_attempts;
-          if (p.retries < params.max_retries) {
-            requeue.push_back(p);
-          } else {
-            ++report.per_client[p.client].dropped;
-            flows.drop(p);
-          }
-        }
-      }
-      if (params.scheduler) {
-        params.scheduler->on_served(f.client, served_bytes, airtime);
-      }
-    }
-    if (params.scheduler) params.scheduler->on_slot(airtime);
-    // push_front in reverse batch order keeps each client's failed MPDUs
-    // in their original arrival order at the front of its subqueue.
-    for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-      queue.push_front(*it);
-    }
-  }
-  flows.fold_into(report, params.duration_s);
-  finalize_traffic(report, params, client_bytes);
-  return report;
-}
-
-}  // namespace
-
-MacReport run_baseline_mac(std::size_t n_clients, const LinkStateFn& link_state,
-                           const MacParams& params) {
-  if (params.traffic) {
-    return run_traffic_mac(1, n_clients, 1, link_state, params,
-                           /*jmb=*/false);
-  }
-  MacReport report;
-  report.per_client.resize(n_clients);
-  Rng rng(params.seed);
-  double t = 0.0;
-  std::size_t turn = 0;  // equal medium share: round-robin over clients
-
-  DownlinkQueue queue;
-  std::uint64_t next_id = 0;
-
-  while (t < params.duration_s) {
-    if (params.saturated) {
-      // With churn, skip clients currently detached from the cell; the
-      // scan is bounded by one full round-robin sweep.
-      std::size_t scanned = 0;
-      if (params.activity) {
-        while (scanned < n_clients && !params.activity(turn % n_clients, t)) {
-          ++turn;
-          ++scanned;
-        }
-      }
-      if (scanned < n_clients) {
-        queue.push({turn % n_clients, params.psdu_bytes, 0, t, 0, next_id++});
-        ++turn;
-      }
-    }
-    auto pkt = queue.pop();
-    if (!pkt) {
-      if (params.saturated && params.activity) {
-        // Cell momentarily empty: idle the slot, users may arrive later.
-        t += idle_slot_s(params);
-        continue;
-      }
-      break;  // non-saturated mode with an empty queue: done
-    }
-
-    const LinkState ls = link_state(pkt->client);
-    const auto rate_idx = rate::select_rate(ls.subcarrier_snr);
-    if (!rate_idx) {
-      // Client out of range: attempt at base rate fails; count and move on.
-      t += rate::frame_airtime_s(pkt->bytes, phy::rate_set()[0],
-                                 params.airtime.sample_rate_hz);
-      ++report.per_client[pkt->client].failed_attempts;
-      ++report.per_client[pkt->client].dropped;
-      continue;
-    }
-    const phy::Mcs& mcs = phy::rate_set()[*rate_idx];
-    const double airtime =
-        rate::frame_airtime_s(pkt->bytes, mcs, params.airtime.sample_rate_hz);
-    t += airtime;
-    report.data_airtime_s += airtime;
-
-    const double per =
-        rate::frame_error_prob(ls.subcarrier_snr, *rate_idx, pkt->bytes);
-    if (rng.uniform() >= per) {
-      ++report.per_client[pkt->client].delivered;
-      note_delivery(report, params, *pkt, t);
-    } else {
-      ++report.per_client[pkt->client].failed_attempts;
-      if (pkt->retries < params.max_retries) {
-        queue.push_front(*pkt);
-      } else {
-        ++report.per_client[pkt->client].dropped;
-      }
-    }
-  }
-  finalize(report, params);
-  return report;
-}
-
-MacReport run_jmb_mac(std::size_t n_aps, std::size_t n_clients,
-                      std::size_t n_streams, const LinkStateFn& link_state,
-                      const MacParams& params) {
-  if (params.traffic) {
-    return run_traffic_mac(n_aps, n_clients, n_streams, link_state, params,
-                           /*jmb=*/true);
-  }
-  MacReport report;
-  report.per_client.resize(n_clients);
-  Rng rng(params.seed);
-  DownlinkQueue queue;
-  std::uint64_t next_id = 0;
-  std::size_t rr = 0;
-
-  double t = 0.0;
-  double next_measurement = 0.0;
-  std::size_t next_forced = 0;  // cursor into params.remeasure_at
-
-  while (t < params.duration_s) {
-    const bool forced = next_forced < params.remeasure_at.size() &&
-                        params.remeasure_at[next_forced] <= t;
-    if (t >= next_measurement || forced) {
-      while (next_forced < params.remeasure_at.size() &&
-             params.remeasure_at[next_forced] <= t) {
-        ++next_forced;
-      }
-      const double meas =
-          rate::measurement_airtime_s(n_aps, n_clients, params.airtime);
-      t += meas;
-      report.measurement_airtime_s += meas;
-      ++report.measurement_epochs;
-      next_measurement = t + params.coherence_time_s;
-      if (params.on_measure) params.on_measure(report.measurement_epochs, t);
-      continue;
-    }
-    if (params.saturated) {
-      // Keep the queue deep enough for a full joint transmission. With
-      // churn, detached clients are skipped and the scan is bounded by a
-      // full round-robin sweep on top of the fill budget.
-      const std::size_t max_scans =
-          n_streams + (params.activity ? n_clients : 0);
-      std::size_t scans = 0;
-      while (queue.size() < n_streams && scans < max_scans) {
-        ++scans;
-        const std::size_t client = rr % n_clients;
-        ++rr;
-        if (params.activity && !params.activity(client, t)) continue;
-        queue.push({client, params.psdu_bytes, 0, t, 0, next_id++});
-      }
-    }
-    std::vector<Packet> batch = queue.pop_joint(n_streams);
-    if (batch.empty()) {
-      if (params.saturated && params.activity) {
-        // Cell momentarily empty: idle the slot, users may arrive later.
-        t += idle_slot_s(params);
-        continue;
-      }
-      break;
-    }
-    ++report.joint_transmissions;
-
-    // Rate selection per Section 9: the APs know the full channel, the
-    // effective channel is k*I, so every client in the joint transmission
-    // runs at the same rate, chosen from the worst client's effective SNR.
-    std::vector<LinkState> states;
-    states.reserve(batch.size());
-    std::optional<std::size_t> rate_idx;
-    for (const Packet& p : batch) {
-      states.push_back(link_state(p.client));
-      const auto r = rate::select_rate(states.back().subcarrier_snr);
-      if (!rate_idx || (r && *r < *rate_idx)) rate_idx = r;
-      if (!r) rate_idx = std::nullopt;
-      if (!rate_idx) break;
-    }
-    if (!rate_idx) {
-      // Someone unreachable: attempt costs base-rate airtime; all fail.
-      t += rate::joint_frame_airtime_s(params.psdu_bytes, phy::rate_set()[0],
-                                       params.airtime);
-      for (Packet& p : batch) {
-        ++report.per_client[p.client].failed_attempts;
-        if (p.retries < params.max_retries) {
-          queue.push_front(p);
-        } else {
-          ++report.per_client[p.client].dropped;
-        }
-      }
-      continue;
-    }
-
-    const phy::Mcs& mcs = phy::rate_set()[*rate_idx];
-    const double airtime =
-        rate::joint_frame_airtime_s(params.psdu_bytes, mcs, params.airtime);
-    t += airtime;
-    report.data_airtime_s += airtime;
-
-    // Losses are decoupled across clients (Section 9): each stream succeeds
-    // or fails on its own effective SNR.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Packet& p = batch[i];
-      const double per = rate::frame_error_prob(states[i].subcarrier_snr,
-                                                *rate_idx, p.bytes);
-      if (rng.uniform() >= per) {
-        ++report.per_client[p.client].delivered;
-        note_delivery(report, params, p, t);
-      } else {
-        ++report.per_client[p.client].failed_attempts;
-        if (p.retries < params.max_retries) {
-          queue.push_front(p);
-        } else {
-          ++report.per_client[p.client].dropped;
-        }
-      }
-    }
-  }
-  finalize(report, params);
-  return report;
-}
-
-MacReport run_baseline_mac_resilient(std::size_t n_aps, std::size_t n_clients,
-                                     const MaskedLinkStateFn& link_state,
-                                     const MacParams& params,
-                                     fault::FaultSession* fault) {
-  MacReport report;
-  report.per_client.resize(n_clients);
-  Rng rng(params.seed);
-  double t = 0.0;
-  std::size_t turn = 0;
-
-  DownlinkQueue queue;
-  std::uint64_t next_id = 0;
-  std::vector<std::uint8_t> up(n_aps, 1);
-
-  while (t < params.duration_s) {
-    pump_mac_faults(fault, nullptr, t);
-    for (std::size_t a = 0; a < n_aps; ++a) {
-      up[a] = (fault && fault->ap_down(a)) ? 0 : 1;
-    }
-    if (params.saturated) {
-      std::size_t scanned = 0;
-      if (params.activity) {
-        while (scanned < n_clients && !params.activity(turn % n_clients, t)) {
-          ++turn;
-          ++scanned;
-        }
-      }
-      if (scanned < n_clients) {
-        queue.push({turn % n_clients, params.psdu_bytes, 0, t, 0, next_id++});
-        ++turn;
-      }
-    }
-    auto pkt = queue.pop();
-    if (!pkt) {
-      if (params.saturated && params.activity) {
-        t += idle_slot_s(params);
-        continue;
-      }
-      break;
-    }
-
-    // Each client transmits from its best *surviving* AP — the mask makes
-    // the link model re-associate instantly, the per-AP independence that
-    // 802.11 keeps and joint transmission gives up.
-    const LinkState ls = link_state(pkt->client, up);
-    const auto rate_idx = rate::select_rate(ls.subcarrier_snr);
-    if (!rate_idx) {
-      t += rate::frame_airtime_s(pkt->bytes, phy::rate_set()[0],
-                                 params.airtime.sample_rate_hz);
-      ++report.per_client[pkt->client].failed_attempts;
-      ++report.per_client[pkt->client].dropped;
-      continue;
-    }
-    const phy::Mcs& mcs = phy::rate_set()[*rate_idx];
-    const double airtime =
-        rate::frame_airtime_s(pkt->bytes, mcs, params.airtime.sample_rate_hz);
-    t += airtime;
-    report.data_airtime_s += airtime;
-
-    const double per =
-        rate::frame_error_prob(ls.subcarrier_snr, *rate_idx, pkt->bytes);
-    if (rng.uniform() >= per) {
-      ++report.per_client[pkt->client].delivered;
-      note_delivery(report, params, *pkt, t);
-    } else {
-      ++report.per_client[pkt->client].failed_attempts;
-      if (pkt->retries < params.max_retries) {
-        queue.push_front(*pkt);
-      } else {
-        ++report.per_client[pkt->client].dropped;
-      }
-    }
-  }
-  if (fault) report.faults_injected = fault->events_applied();
-  finalize(report, params);
-  return report;
-}
-
-MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
-                                std::size_t n_streams,
-                                const MaskedLinkStateFn& link_state,
-                                const MacParams& params,
-                                fault::FaultSession* fault,
-                                fault::ResilienceController* resilience) {
-  MacReport report;
-  report.per_client.resize(n_clients);
-  Rng rng(params.seed);
-  DownlinkQueue queue;
-  std::uint64_t next_id = 0;
-  std::size_t rr = 0;
-
-  double t = 0.0;
-  double next_measurement = 0.0;
-  std::size_t lead = 0;
-  std::size_t lead_misses = 0;
-  LatencyAccumulator latency;
-  std::vector<std::uint8_t> all_active(n_aps, 1);
-
-  // The joint set the MAC *believes* in: the controller's surviving APs,
-  // or everyone when no controller is attached.
-  const auto believed = [&]() -> const std::vector<std::uint8_t>& {
-    return resilience ? resilience->active() : all_active;
-  };
-
-  std::size_t next_forced = 0;  // cursor into params.remeasure_at
-
-  while (t < params.duration_s) {
-    pump_mac_faults(fault, resilience, t);
-
-    const bool forced = next_forced < params.remeasure_at.size() &&
-                        params.remeasure_at[next_forced] <= t;
-    if (t >= next_measurement || forced ||
-        (resilience && resilience->needs_remeasure())) {
-      while (next_forced < params.remeasure_at.size() &&
-             params.remeasure_at[next_forced] <= t) {
-        ++next_forced;
-      }
-      const double meas =
-          rate::measurement_airtime_s(n_aps, n_clients, params.airtime);
-      t += meas;
-      report.measurement_airtime_s += meas;
-      ++report.measurement_epochs;
-      next_measurement = t + params.coherence_time_s;
-      if (params.on_measure) params.on_measure(report.measurement_epochs, t);
-      if (resilience) resilience->on_remeasure(t);
-      continue;
-    }
-
-    // Lead liveness: a dead lead means no sync headers at all. After
-    // lead_miss_threshold headerless slots the MAC declares it down and
-    // elects the lowest-indexed surviving AP.
-    const bool lead_down = fault && fault->ap_down(lead);
-    if (lead_down) {
-      // A headerless slot costs the sync-header + turnaround airtime the
-      // slaves spent waiting for a transmission that never came.
-      t += static_cast<double>(phy::kPreambleLen) /
-               params.airtime.sample_rate_hz +
-           params.airtime.turnaround_s;
+    // --- lead liveness: a dead lead sends no sync header, so the slot is
+    // lost. After lead_miss_threshold such slots the MAC declares it down
+    // and elects the lowest-indexed surviving AP ---
+    if (joint && fault && fault->ap_down(lead)) {
+      t += idle_slot_s(params);
       if (++lead_misses >= params.lead_miss_threshold) {
         if (resilience) {
           resilience->mark_down(lead, t);
@@ -684,7 +272,7 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
     lead_misses = 0;
 
     // Per-slave sync-header evidence for this slot.
-    if (resilience) {
+    if (joint && resilience) {
       for (std::size_t a = 0; a < n_aps; ++a) {
         if (a == lead) continue;
         const bool down = fault && fault->ap_down(a);
@@ -699,16 +287,18 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
       if (resilience->needs_remeasure()) continue;  // epoch first
     }
 
-    if (params.saturated) {
-      const std::size_t max_attempts =
-          4 * n_streams + (params.activity ? n_clients : 0);
-      std::size_t attempts = 0;
-      while (queue.size() < n_streams && attempts < max_attempts) {
-        ++attempts;
-        const std::size_t client = rr % n_clients;
-        ++rr;
+    // --- saturated fill: 802.11 queues one packet per slot, JMB tops the
+    // queue up to a full joint transmission. Detached clients are skipped
+    // and packets the backhaul loses are counted, within a scan budget ---
+    if (!src && params.saturated) {
+      const std::size_t fill_to = joint ? n_streams : queue.size() + 1;
+      const std::size_t max_scans =
+          joint ? 4 * n_streams + (params.activity ? n_clients : 0) : n_clients;
+      for (std::size_t scans = 0; queue.size() < fill_to && scans < max_scans;
+           ++scans) {
+        const std::size_t client = rr++ % n_clients;
         if (params.activity && !params.activity(client, t)) continue;
-        if (fault && fault->backhaul_packet_lost()) {
+        if (joint && fault && fault->backhaul_packet_lost()) {
           // Lost on the wire between gateway and APs; counted, not queued.
           ++report.backhaul_drops;
           ++report.per_client[client].dropped;
@@ -717,84 +307,127 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
         queue.push({client, params.psdu_bytes, 0, t, 0, next_id++});
       }
     }
-    if (fault) t += fault->backhaul_delay_s();  // distribution stall
+    if (joint && fault) t += fault->backhaul_delay_s();  // distribution stall
 
-    std::vector<Packet> batch = queue.pop_joint(n_streams);
-    if (batch.empty()) {
-      if (params.saturated) {
-        // The backhaul ate every candidate packet: the slot idles while
-        // the queue refills. Charge the idle slot so time always advances
-        // (a 100%-loss window must not hang the simulation).
-        t += static_cast<double>(phy::kPreambleLen) /
-                 params.airtime.sample_rate_hz +
-             params.airtime.turnaround_s;
-        continue;
-      }
-      break;
+    // --- user selection (Scheduler policy; null = FIFO order) ---
+    const std::vector<std::size_t> selected =
+        sched ? sched->select(queue, n_streams, t, &rate_hint)
+              : queue.clients_fifo();
+    picked.clear();
+    std::fill(taken.begin(), taken.end(), 0);
+    for (std::size_t c : selected) {
+      if (picked.size() >= n_streams) break;
+      if (c >= n_clients || taken[c] || queue.front_of(c) == nullptr) continue;
+      taken[c] = 1;
+      picked.push_back(c);
     }
-    ++report.joint_transmissions;
-
-    // Detection lag is where joint transmission pays: an AP that crashed
-    // but is still believed active leaves a dead row in the precoder and
-    // the whole joint frame is ruined.
-    bool stale_member = false;
-    if (fault) {
-      for (std::size_t a = 0; a < n_aps; ++a) {
-        if (believed()[a] && fault->ap_down(a)) stale_member = true;
+    if (picked.empty()) {
+      // A misbehaving policy must not stall a backlogged queue.
+      for (std::size_t c : queue.clients_fifo()) {
+        if (picked.size() >= n_streams) break;
+        picked.push_back(c);
       }
     }
 
-    std::vector<LinkState> states;
-    std::optional<std::size_t> rate_idx;
-    if (!stale_member) {
-      states.reserve(batch.size());
-      for (const Packet& p : batch) {
-        states.push_back(link_state(p.client, believed()));
-        const auto r = rate::select_rate(states.back().subcarrier_snr);
-        if (!rate_idx || (r && *r < *rate_idx)) rate_idx = r;
-        if (!r) rate_idx = std::nullopt;
-        if (!rate_idx) break;
-      }
+    frames.clear();
+    std::size_t frame_bytes = 0;  // largest stream incl. delimiters
+    for (std::size_t c : picked) {
+      AggFrame f = queue.pop_aggregate(c, agg);
+      if (f.mpdus.empty()) continue;
+      report.aggregated_mpdus += f.mpdus.size() - 1;
+      frame_bytes = std::max(frame_bytes,
+                             f.total_bytes + delimiter_bytes * f.mpdus.size());
+      frames.push_back(std::move(f));
     }
-    if (stale_member || !rate_idx) {
-      t += rate::joint_frame_airtime_s(params.psdu_bytes, phy::rate_set()[0],
-                                       params.airtime);
-      for (Packet& p : batch) {
-        ++report.per_client[p.client].failed_attempts;
-        if (p.retries < params.max_retries) {
-          queue.push_front(p);
-        } else {
-          ++report.per_client[p.client].dropped;
-        }
-      }
+    if (frames.empty()) {
+      if (!src && !params.saturated) break;  // nothing left to send
+      // Cell momentarily empty, or the backhaul ate every candidate: idle
+      // the slot so time always advances.
+      t += idle_slot_s(params);
       continue;
     }
+    if (joint) ++report.joint_transmissions;
 
-    const phy::Mcs& mcs = phy::rate_set()[*rate_idx];
-    const double airtime =
-        rate::joint_frame_airtime_s(params.psdu_bytes, mcs, params.airtime);
-    t += airtime;
-    report.data_airtime_s += airtime;
-
-    bool all_delivered = true;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Packet& p = batch[i];
-      const double per = rate::frame_error_prob(states[i].subcarrier_snr,
-                                                *rate_idx, p.bytes);
-      if (rng.uniform() >= per) {
-        ++report.per_client[p.client].delivered;
-        note_delivery(report, params, p, t);
-      } else {
-        all_delivered = false;
-        ++report.per_client[p.client].failed_attempts;
-        if (p.retries < params.max_retries) {
-          queue.push_front(p);
-        } else {
-          ++report.per_client[p.client].dropped;
-        }
+    // --- rate selection per Section 9: the effective channel is k*I, so
+    // every stream runs one rate, the worst client's. Detection lag is
+    // where joint transmission pays: an AP that crashed but is still
+    // believed active leaves a dead row in the precoder and ruins the
+    // whole joint frame ---
+    bool reachable = true;
+    if (joint && fault) {
+      for (std::size_t a = 0; a < n_aps; ++a) {
+        if (aps()[a] && fault->ap_down(a)) reachable = false;
       }
     }
-    if (resilience && all_delivered) {
+    states.clear();
+    std::size_t rate_idx = 0;
+    for (std::size_t i = 0; reachable && i < frames.size(); ++i) {
+      states.push_back(link_state(frames[i].client, aps()));
+      const auto r = rate::select_rate(states.back().subcarrier_snr);
+      if (!r) {
+        reachable = false;
+      } else if (i == 0 || *r < rate_idx) {
+        rate_idx = *r;
+      }
+    }
+
+    // An unreachable member burns a base-rate attempt and every stream
+    // fails. Only traffic mode books that attempt as data airtime.
+    const phy::Mcs& mcs = phy::rate_set()[reachable ? rate_idx : 0];
+    const double airtime =
+        joint ? rate::joint_frame_airtime_s(frame_bytes, mcs, params.airtime)
+              : rate::frame_airtime_s(frame_bytes, mcs,
+                                      params.airtime.sample_rate_hz);
+    t += airtime;
+    if (reachable || src) report.data_airtime_s += airtime;
+
+    // --- deliver / retry / drop. Losses are decoupled per stream; within
+    // a stream each MPDU gets its own delivery draw (block-ACK semantics).
+    // Saturated 802.11 drops an unreachable client's packet at once ---
+    const bool may_retry = reachable || joint || src;
+    bool all_delivered = true;
+    requeue.clear();
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      double served_bytes = 0.0;
+      for (const Packet& p : frames[i].mpdus) {
+        const bool ok =
+            reachable &&
+            rng.uniform() >= rate::frame_error_prob(
+                                 states[i].subcarrier_snr, rate_idx, p.bytes);
+        ClientStats& cs = report.per_client[p.client];
+        if (ok) {
+          ++cs.delivered;
+          client_bytes[p.client] += static_cast<double>(p.bytes);
+          served_bytes += static_cast<double>(p.bytes);
+          if (src) flows.deliver(p, t);
+          if (params.record_latency) {
+            report.frame_latency_s.push_back(t - p.enqueue_s);
+          }
+          continue;
+        }
+        all_delivered = false;
+        ++cs.failed_attempts;
+        if (may_retry && p.retries < params.max_retries) {
+          requeue.push_back(p);
+        } else {
+          ++cs.dropped;
+          if (src) flows.drop(p);
+        }
+      }
+      if (sched) sched->on_served(frames[i].client, served_bytes, airtime);
+    }
+    if (sched) sched->on_slot(airtime);
+    // Traffic mode re-queues in reverse batch order, which keeps each
+    // client's failed MPDUs in arrival order at the front of its subqueue;
+    // the saturated fill re-queues in batch order.
+    if (src) {
+      for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
+        queue.push_front(*it);
+      }
+    } else {
+      for (const Packet& p : requeue) queue.push_front(p);
+    }
+    if (joint && resilience && all_delivered) {
       resilience->on_recovered(t);
       latency.sample(*resilience);
     }
@@ -802,8 +435,42 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
   if (fault) report.faults_injected = fault->events_applied();
   if (resilience) latency.sample(*resilience);
   latency.fold_into(report);
-  finalize(report, params);
+  flows.fold_into(report, params.duration_s);
+  finalize(report, params, client_bytes);
   return report;
+}
+
+}  // namespace
+
+MacReport run_baseline_mac(std::size_t n_clients, const LinkStateFn& link_state,
+                           const MacParams& params) {
+  return run_mac(/*joint=*/false, 1, n_clients, 1, ignore_mask(link_state),
+                 params, nullptr, nullptr);
+}
+
+MacReport run_jmb_mac(std::size_t n_aps, std::size_t n_clients,
+                      std::size_t n_streams, const LinkStateFn& link_state,
+                      const MacParams& params) {
+  return run_mac(/*joint=*/true, n_aps, n_clients, n_streams,
+                 ignore_mask(link_state), params, nullptr, nullptr);
+}
+
+MacReport run_baseline_mac_resilient(std::size_t n_aps, std::size_t n_clients,
+                                     const MaskedLinkStateFn& link_state,
+                                     const MacParams& params,
+                                     fault::FaultSession* fault) {
+  return run_mac(/*joint=*/false, n_aps, n_clients, 1, link_state, params,
+                 fault, nullptr);
+}
+
+MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
+                                std::size_t n_streams,
+                                const MaskedLinkStateFn& link_state,
+                                const MacParams& params,
+                                fault::FaultSession* fault,
+                                fault::ResilienceController* resilience) {
+  return run_mac(/*joint=*/true, n_aps, n_clients, n_streams, link_state,
+                 params, fault, resilience);
 }
 
 }  // namespace jmb::net

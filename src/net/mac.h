@@ -2,6 +2,12 @@
 // (shared queue, lead election, joint transmissions, channel-measurement
 // epochs, asynchronous ACKs with retransmission).
 //
+// All four entry points below are thin wrappers over one event loop in
+// mac.cpp, parameterised by transmit mode (802.11 or joint), packet supply
+// (saturated round-robin fill or MacParams::traffic) and the optional
+// fault/resilience/churn/measurement hooks, each a no-op when null or
+// empty. DESIGN.md §9 lists the few behaviours that differ per mode.
+//
 // Channel state enters through a callback so these simulations compose
 // with either the closed-form LinkModel or measurements from the
 // sample-level system.
@@ -41,8 +47,7 @@ using MaskedLinkStateFn = std::function<LinkState(
 /// Churn/mobility hook: is `client` attached to this cell at virtual time
 /// t? The scheduler skips detached clients (no traffic is generated for
 /// them) and idles when the cell is momentarily empty. A null ActivityFn
-/// means "everyone, always" and leaves every MAC variant on the exact
-/// legacy code path.
+/// means "everyone, always".
 using ActivityFn = std::function<bool(std::size_t client, double t)>;
 
 struct MacParams {
@@ -58,26 +63,28 @@ struct MacParams {
   std::size_t lead_miss_threshold = 3;
 
   // --- metro churn/mobility knobs (defaults keep the legacy path) ---
-  /// Null = every client always attached (legacy behaviour, bit-exact).
+  /// Null = every client always attached.
   ActivityFn activity;
   /// Forced re-measurement instants (sorted ascending): a hand-off into
   /// the cell requires measuring the newcomer's channel outside the
-  /// regular coherence cadence. JMB variants only; empty = none.
+  /// regular coherence cadence. JMB entry points only; empty = none.
   std::vector<double> remeasure_at;
   /// Record per-frame delivery latency (enqueue -> ACK) samples into
   /// MacReport::frame_latency_s.
   bool record_latency = false;
 
   // --- traffic-subsystem knobs (defaults keep the legacy path) ---
-  /// Packet arrival process replacing the synthetic saturated fill. Null
-  /// keeps the legacy always-backlogged behaviour, bit-exact. Non-owning;
-  /// must outlive the run and is mutated by it (arrivals are consumed).
+  /// Packet arrival process replacing the synthetic saturated fill, in
+  /// every entry point. Null keeps the always-backlogged round-robin fill.
+  /// Non-owning; must outlive the run and is mutated by it (arrivals are
+  /// consumed).
   TrafficSource* traffic = nullptr;
-  /// User-selection policy for traffic-mode runs. Null = FIFO (the exact
-  /// pop_joint order). Non-owning; mutated by per-slot feedback.
+  /// User-selection policy for traffic-mode runs (ignored without
+  /// `traffic`). Null = FIFO (the exact pop_joint order). Non-owning;
+  /// mutated by per-slot feedback.
   Scheduler* scheduler = nullptr;
-  /// A-MPDU-style aggregation budget per client per joint transmission.
-  /// The default (1 frame) is the legacy one-packet-per-client MAC.
+  /// A-MPDU-style aggregation budget per client per joint transmission
+  /// (traffic mode only). The default (1 frame) is one packet per client.
   AggLimits agg;
 
   // --- precoder/CSI knobs (defaults keep the legacy path) ---
@@ -129,7 +136,7 @@ struct MacReport {
   std::size_t aggregated_mpdus = 0;   ///< packets carried via aggregation
   double max_queue_depth = 0.0;       ///< peak shared-queue occupancy
 
-  // --- resilience accounting (run_*_resilient variants; zero elsewhere) ---
+  // --- resilience accounting (run_*_resilient entry points; else zero) ---
   std::size_t lead_elections = 0;   ///< times the MAC re-elected a lead
   std::size_t faults_injected = 0;  ///< plan events whose begin edge fired
   std::size_t quarantines = 0;      ///< controller quarantine events
@@ -158,7 +165,7 @@ struct MacReport {
 /// *up* AP (the mask handed to `link_state` carries the session's up/down
 /// state), so a crash only strands clients with no surviving AP —
 /// per-AP independence is exactly what JMB's joint transmission gives up.
-/// `fault` may be null, which reduces to run_baseline_mac semantics.
+/// With `fault` null this is run_baseline_mac with a MaskedLinkStateFn.
 [[nodiscard]] MacReport run_baseline_mac_resilient(
     std::size_t n_aps, std::size_t n_clients,
     const MaskedLinkStateFn& link_state, const MacParams& params,
@@ -174,7 +181,7 @@ struct MacReport {
 /// `params.lead_miss_threshold` headerless slots and a new lead elected
 /// from the surviving set. `fault` and `resilience` may be null (either
 /// reduces that mechanism to a no-op); with both null this is
-/// run_jmb_mac with a MaskedLinkStateFn.
+/// run_jmb_mac with a MaskedLinkStateFn, churn and traffic included.
 [[nodiscard]] MacReport run_jmb_mac_resilient(
     std::size_t n_aps, std::size_t n_clients, std::size_t n_streams,
     const MaskedLinkStateFn& link_state, const MacParams& params,

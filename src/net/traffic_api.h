@@ -5,9 +5,9 @@
 // The interfaces live in net/ (they speak only net:: vocabulary) so the
 // MAC stays independent of any particular traffic model; the concrete
 // flow generators and scheduling policies live in src/traffic/. A null
-// TrafficSource keeps the MAC on the legacy saturated round-robin path,
-// and a null Scheduler keeps the legacy FIFO pop_joint selection — both
-// bit-exact with the pre-traffic behaviour.
+// TrafficSource keeps the MAC on the saturated round-robin fill, and a
+// null Scheduler serves clients in FIFO order, exactly the pop_joint
+// selection.
 #pragma once
 
 #include <cstddef>

@@ -154,8 +154,17 @@ class Parser {
     }
     const char c = text_[pos_];
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than 256 levels");
+          return JsonValue();
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't': return expect_literal("true") ? JsonValue(true) : JsonValue();
       case 'f': return expect_literal("false") ? JsonValue(false) : JsonValue();
@@ -294,8 +303,13 @@ class Parser {
     return JsonValue();
   }
 
+  /// Containers nest at most this deep: the parser recurses per level,
+  /// so a hostile `[[[...` document must fail, not overflow the stack.
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   bool failed_ = false;
   std::string message_;
   std::size_t err_pos_ = 0;

@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "core/link_model.h"
-#include "core/system.h"
 #include "dsp/stats.h"
+#include "engine/system.h"
 #include "linalg/pinv.h"
 
 namespace jmb::core {

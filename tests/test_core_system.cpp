@@ -9,8 +9,8 @@
 #include "core/compat11n.h"
 #include "core/decoupled.h"
 #include "core/measurement.h"
-#include "core/system.h"
 #include "dsp/stats.h"
+#include "engine/system.h"
 #include "rate/effective_snr.h"
 
 namespace jmb::core {
