@@ -285,9 +285,4 @@ inline std::vector<std::vector<double>> diverse_link_gains(
                                   rng);
 }
 
-/// Residual per-slave phase-error sigma used by the link-model sweeps,
-/// calibrated against the sample-level Fig. 7 distribution (median 0.017,
-/// 95th pct < 0.05 rad => sigma ~ 0.02).
-constexpr double kCalibratedPhaseSigma = 0.02;
-
 }  // namespace jmb::bench

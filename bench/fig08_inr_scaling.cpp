@@ -53,10 +53,11 @@ int main(int argc, char** argv) {
             gains = bench::diverse_link_gains(n, n, band, rng);
             h = core::well_conditioned_channel_set(gains, rng);
           }
-          std::optional<core::ZfPrecoder> precoder;
+          std::optional<core::Precoder> precoder;
           {
             const auto timer = ctx.time_stage(engine::kStagePrecode);
-            precoder = core::ZfPrecoder::build(h, 1.0, &ctx.sink);
+            precoder = core::Precoder::build_kind(h, core::PrecoderConfig{},
+                                                  &ctx.sink);
             if (precoder) {
               ctx.metrics->stage(engine::kStagePrecode)
                   .add_condition(condition_number(h.at(0)));
@@ -67,14 +68,14 @@ int main(int argc, char** argv) {
           const double noise =
               precoder->scale() * precoder->scale() / from_db(eff);
           const auto timer = ctx.time_stage(engine::kStagePropagate);
-          inr.add(core::expected_inr_db(h, bench::kCalibratedPhaseSigma,
+          inr.add(core::expected_inr_db(h, core::kCalibratedPhaseSigma,
                                         noise, 25, rng));
         }
         return inr.mean();
       });
 
   std::printf("(a) misalignment-limited regime (link model, calibrated"
-              " phase error %.3f rad)\n\n", bench::kCalibratedPhaseSigma);
+              " phase error %.3f rad)\n\n", core::kCalibratedPhaseSigma);
   std::printf("%-6s", "N");
   for (const auto& band : bench::snr_bands()) std::printf(" %-20s", band.name);
   std::printf("\n");

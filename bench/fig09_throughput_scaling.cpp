@@ -44,7 +44,7 @@ Point run_point(std::size_t n, const bench::SnrBand& band, int topologies,
     // Dense-deployment link budget; the joint channel is in the paper's
     // well-conditioned regime, so the beamforming scale carries only the
     // genuine harmonic/conditioning penalty relative to the best links.
-    std::optional<core::ZfPrecoder> precoder;
+    std::optional<core::Precoder> precoder;
     std::vector<std::vector<double>> gains;
     core::ChannelMatrixSet h(0, 0);
     {
@@ -54,8 +54,7 @@ Point run_point(std::size_t n, const bench::SnrBand& band, int topologies,
     }
     {
       const auto timer = ctx.time_stage(engine::kStagePrecode);
-      // JMB_PRECODER selects the weight rule; the default ZF config makes
-      // build_kind bitwise-identical to the legacy ZfPrecoder::build.
+      // JMB_PRECODER selects the weight rule; the default is ZF.
       core::PrecoderConfig cfg;
       cfg.kind = kind;
       if (kind == phy::PrecoderKind::kRzf) {
@@ -71,44 +70,27 @@ Point run_point(std::size_t n, const bench::SnrBand& band, int topologies,
 
     // Baseline: each client at its best AP, flat at the link budget (the
     // effective-SNR rate selector reduces real channels to exactly this).
-    std::vector<rvec> base_snrs(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      double best = 0.0;
-      for (double g : gains[c]) best = std::max(best, g);
-      base_snrs[c].assign(phy::kNumDataCarriers, best);
-    }
     mac.seed = rng.next_u64();
     net::MacReport base;
     {
       const auto timer = ctx.time_stage(engine::kStageDecode);
       base = net::run_baseline_mac(
-          n, [&](std::size_t c) { return net::LinkState{base_snrs[c]}; }, mac);
+          n, [&](std::size_t c) { return core::best_ap_link_state(gains[c]); },
+          mac);
     }
 
     // JMB: per-transmission residual phase errors from a pre-drawn pool;
     // unit noise (gains are SNRs), so SINRs carry the conditioning cost.
-    Rng err_rng(rng.next_u64());
-    constexpr std::size_t kPool = 16;
-    std::vector<std::vector<rvec>> pool;
-    pool.reserve(kPool);
+    core::SinrPool pool(16, n, Rng(rng.next_u64()));
     {
       const auto timer = ctx.time_stage(engine::kStagePropagate);
-      for (std::size_t i = 0; i < kPool; ++i) {
-        pool.push_back(core::jmb_subcarrier_sinrs(
-            h, *precoder, bench::kCalibratedPhaseSigma, 1.0, err_rng));
-      }
+      pool.append(h, &*precoder);
     }
-    std::size_t draw = 0;
     mac.seed = rng.next_u64();
     net::MacReport jmb;
     {
       const auto timer = ctx.time_stage(engine::kStageDecode);
-      jmb = net::run_jmb_mac(
-          n, n, n,
-          [&](std::size_t c) {
-            return net::LinkState{pool[(draw++ / n) % kPool][c]};
-          },
-          mac);
+      jmb = net::run_jmb_mac(n, n, n, pool.fn(), mac);
     }
     base_acc.add(base.total_goodput_mbps);
     jmb_acc.add(jmb.total_goodput_mbps);

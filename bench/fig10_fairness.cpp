@@ -33,10 +33,11 @@ rvec run_cell(const bench::SnrBand& band, std::size_t n, std::uint64_t seed,
       gains = bench::diverse_link_gains(n, n, band, rng);
       h = core::well_conditioned_channel_set(gains, rng);
     }
-    std::optional<core::ZfPrecoder> precoder;
+    std::optional<core::Precoder> precoder;
     {
       const auto timer = ctx.time_stage(engine::kStagePrecode);
-      precoder = core::ZfPrecoder::build(h, 1.0, &ctx.sink);
+      precoder = core::Precoder::build_kind(h, core::PrecoderConfig{},
+                                            &ctx.sink);
       if (precoder) {
         ctx.metrics->stage(engine::kStagePrecode)
             .add_condition(condition_number(h.at(0)));
@@ -47,40 +48,24 @@ rvec run_cell(const bench::SnrBand& band, std::size_t n, std::uint64_t seed,
     net::MacParams mac;
     mac.duration_s = 0.1;
     mac.airtime.turnaround_s = 16e-6;
-    std::vector<rvec> base_snrs(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      double best = 0.0;
-      for (double g : gains[c]) best = std::max(best, g);
-      base_snrs[c].assign(phy::kNumDataCarriers, best);
-    }
     mac.seed = rng.next_u64();
     net::MacReport base;
     {
       const auto timer = ctx.time_stage(engine::kStageDecode);
       base = net::run_baseline_mac(
-          n, [&](std::size_t c) { return net::LinkState{base_snrs[c]}; }, mac);
+          n, [&](std::size_t c) { return core::best_ap_link_state(gains[c]); },
+          mac);
     }
-    Rng err_rng(rng.next_u64());
-    constexpr std::size_t kPool = 16;
-    std::vector<std::vector<rvec>> pool;
+    core::SinrPool pool(16, n, Rng(rng.next_u64()));
     {
       const auto timer = ctx.time_stage(engine::kStagePropagate);
-      for (std::size_t i = 0; i < kPool; ++i) {
-        pool.push_back(core::jmb_subcarrier_sinrs(
-            h, *precoder, bench::kCalibratedPhaseSigma, 1.0, err_rng));
-      }
+      pool.append(h, &*precoder);
     }
-    std::size_t draw = 0;
     mac.seed = rng.next_u64();
     net::MacReport jmb;
     {
       const auto timer = ctx.time_stage(engine::kStageDecode);
-      jmb = net::run_jmb_mac(
-          n, n, n,
-          [&](std::size_t c) {
-            return net::LinkState{pool[(draw++ / n) % kPool][c]};
-          },
-          mac);
+      jmb = net::run_jmb_mac(n, n, n, pool.fn(), mac);
     }
     for (std::size_t c = 0; c < n; ++c) {
       if (base.per_client[c].goodput_mbps > 0.1) {

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
             {
               const auto timer = ctx.time_stage(engine::kStagePrecode);
               sub = core::diversity_subcarrier_snrs(
-                  row, bench::kCalibratedPhaseSigma, 1.0, rng);
+                  row, core::kCalibratedPhaseSigma, 1.0, rng);
             }
             const auto timer = ctx.time_stage(engine::kStageDecode);
             acc.add(goodput_mbps(sub));

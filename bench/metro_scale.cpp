@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   if (!opts.fault_plan.empty()) {
     std::string err;
     plan = fault::FaultPlan::load(opts.fault_plan, &err);
-    if (plan.empty()) {
+    // Every cell has at least aps_per_cell APs.
+    if (plan.empty() || !plan.check_aps(base.aps_per_cell, &err)) {
       std::fprintf(stderr, "%s: %s\n", argv[0],
                    err.empty() ? "fault plan has no events" : err.c_str());
       return 2;

@@ -132,11 +132,11 @@ Point run_point(double load, const char* policy, const Config& cfg,
   Point pt;
   const auto timer = ctx.time_stage(engine::kStageDecode);
 
-  // Pre-drawn per-transmission SINR pools (the fig10 pattern): each joint
-  // transmission sees a fresh phase-error draw, cycled deterministically.
-  std::vector<std::vector<std::vector<rvec>>> pools(kGroups);
+  // Pre-drawn per-transmission SINRs (the fig10 pattern): each joint
+  // transmission sees a fresh phase-error draw, cycled deterministically;
+  // draw i holds every group's draw i.
+  core::SinrPool pool(kSinrPool, kStreams, Rng(rng.next_u64()));
   {
-    Rng pool_rng(rng.next_u64());
     core::PrecoderConfig pcfg;
     pcfg.kind = cfg.precoder;
     if (pcfg.kind == phy::PrecoderKind::kRzf) {
@@ -144,28 +144,11 @@ Point run_point(double load, const char* policy, const Config& cfg,
     }
     for (std::size_t g = 0; g < kGroups; ++g) {
       const auto precoder = core::Precoder::build_kind(h[g], pcfg, &ctx.sink);
-      if (!precoder) continue;
-      pools[g].reserve(kSinrPool);
-      for (std::size_t i = 0; i < kSinrPool; ++i) {
-        pools[g].push_back(core::jmb_subcarrier_sinrs(
-            h[g], *precoder, bench::kCalibratedPhaseSigma, 1.0, pool_rng));
-      }
+      pool.append(h[g], precoder ? &*precoder : nullptr);
     }
   }
-  std::size_t draw = 0;
-  const net::LinkStateFn jmb_links = [&](std::size_t c) {
-    const std::size_t g = c / kStreams;
-    if (pools[g].empty()) {
-      return net::LinkState{rvec(phy::kNumDataCarriers, 0.0)};
-    }
-    return net::LinkState{
-        pools[g][(draw++ / kStreams) % kSinrPool][c % kStreams]};
-  };
-  // Baseline: flat per-subcarrier SNR from the client's best AP.
   const net::LinkStateFn base_links = [&](std::size_t c) {
-    double best = 0.0;
-    for (const double gain : gains[c]) best = std::max(best, gain);
-    return net::LinkState{rvec(phy::kNumDataCarriers, best)};
+    return core::best_ap_link_state(gains[c]);
   };
 
   // Both MACs consume byte-identical arrival sequences: two PacketSource
@@ -189,7 +172,7 @@ Point run_point(double load, const char* policy, const Config& cfg,
   mac.scheduler = jmb_sched.get();
   mac.seed = rng.next_u64();
   const net::MacReport jmb =
-      net::run_jmb_mac(kAps, kUsers, kStreams, jmb_links, mac);
+      net::run_jmb_mac(kAps, kUsers, kStreams, pool.fn(), mac);
 
   traffic::PacketSource base_src(traffic_seed, kUsers, profile,
                                  cfg.duration_s);

@@ -131,30 +131,30 @@ void BM_RxChain1500B(benchmark::State& state) {
 }
 BENCHMARK(BM_RxChain1500B);
 
-void BM_ZfPrecoderBuild(benchmark::State& state) {
+void BM_PrecoderBuildZf(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(6);
   const core::ChannelMatrixSet h = core::random_channel_set(n, n, rng);
   for (auto _ : state) {
-    auto p = core::ZfPrecoder::build(h);
+    auto p = core::Precoder::build_kind(h, core::PrecoderConfig{});
     benchmark::DoNotOptimize(p->scale());
   }
 }
-BENCHMARK(BM_ZfPrecoderBuild)->Arg(2)->Arg(4)->Arg(10);
+BENCHMARK(BM_PrecoderBuildZf)->Arg(2)->Arg(4)->Arg(10);
 
 // Workspace-fed build: same pseudoinverses, but every per-subcarrier
 // temporary lives in the reused PinvScratch instead of the heap.
-void BM_ZfPrecoderBuildWs(benchmark::State& state) {
+void BM_PrecoderBuildZfWs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(6);
   const core::ChannelMatrixSet h = core::random_channel_set(n, n, rng);
   Workspace ws;
   for (auto _ : state) {
-    auto p = core::ZfPrecoder::build(h, ws);
+    auto p = core::Precoder::build_kind(h, core::PrecoderConfig{}, ws);
     benchmark::DoNotOptimize(p->scale());
   }
 }
-BENCHMARK(BM_ZfPrecoderBuildWs)->Arg(2)->Arg(4)->Arg(10);
+BENCHMARK(BM_PrecoderBuildZfWs)->Arg(2)->Arg(4)->Arg(10);
 
 // Per-subcarrier pseudo-inverse, the arithmetic core of the precoder.
 // The "before" is the pre-workspace composition — hermitian / operator* /
@@ -204,7 +204,7 @@ void BM_PrecodeTransmitVector(benchmark::State& state) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
   Workspace ws;
-  const auto p = core::ZfPrecoder::build(h, ws);
+  const auto p = core::Precoder::build_kind(h, core::PrecoderConfig{}, ws);
   cvec x(4);
   for (auto& v : x) v = rng.cgaussian();
   std::size_t k = 0;
@@ -220,7 +220,7 @@ void BM_PrecodeTransmitVectorInto(benchmark::State& state) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
   Workspace ws;
-  const auto p = core::ZfPrecoder::build(h, ws);
+  const auto p = core::Precoder::build_kind(h, core::PrecoderConfig{}, ws);
   cvec x(4);
   for (auto& v : x) v = rng.cgaussian();
   cvec y(p->n_tx());
@@ -260,7 +260,7 @@ void BM_PrecoderApplyBackend(benchmark::State& state, simd::Backend be) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
   Workspace ws;
-  const auto p = core::ZfPrecoder::build(h, ws);
+  const auto p = core::Precoder::build_kind(h, core::PrecoderConfig{}, ws);
   const std::size_t n_sc = h.n_subcarriers();
   // Four per-stream symbol rows accumulated into one antenna row, exactly
   // the SynthesisStage data-symbol path over the packed weights.
@@ -516,7 +516,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
     for (int i = 0; i < kReps; ++i) {
       const engine::ScopedStageTimer timer(&set, "zf_build_4x4");
-      auto p = core::ZfPrecoder::build(h);
+      auto p = core::Precoder::build_kind(h, core::PrecoderConfig{});
       benchmark::DoNotOptimize(p->scale());
     }
   }
@@ -526,7 +526,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     Workspace ws;
     for (int i = 0; i < kReps; ++i) {
       const engine::ScopedStageTimer timer(&set, "zf_build_4x4_ws");
-      auto p = core::ZfPrecoder::build(h, ws);
+      auto p = core::Precoder::build_kind(h, core::PrecoderConfig{}, ws);
       benchmark::DoNotOptimize(p->scale());
     }
   }

@@ -151,16 +151,10 @@ TrialResult run_trial(double duration_s, engine::TrialContext& ctx) {
 
       // Weights from the impaired CSI, physics from the true channel: the
       // SINRs carry the real cost of the feedback error per weight rule.
-      Rng err_rng(err_seed);
-      std::vector<std::vector<rvec>> pool;
-      pool.reserve(kSinrPool);
+      core::SinrPool pool(kSinrPool, n_sel, Rng(err_seed));
       {
         const auto timer = ctx.time_stage(engine::kStagePropagate);
-        for (std::size_t i = 0; i < kSinrPool; ++i) {
-          pool.push_back(core::jmb_subcarrier_sinrs(
-              sub_true, *precoder, bench::kCalibratedPhaseSigma, 1.0,
-              err_rng));
-        }
+        pool.append(sub_true, &*precoder);
       }
 
       net::MacParams mac;
@@ -169,21 +163,13 @@ TrialResult run_trial(double duration_s, engine::TrialContext& ctx) {
       mac.seed = mac_seed;
       // Each measurement epoch refreshes the CSI: jump the pool cursor so
       // the post-measure fading draws differ from the pre-measure ones.
-      std::size_t epoch_base = 0;
-      std::size_t draw = 0;
       mac.on_measure = [&](std::size_t epoch, double) {
-        epoch_base = epoch * 3;
+        pool.set_offset(epoch * 3);
       };
       net::MacReport report;
       {
         const auto timer = ctx.time_stage(engine::kStageDecode);
-        report = net::run_jmb_mac(
-            kAps, n_sel, n_sel,
-            [&](std::size_t c) {
-              return net::LinkState{
-                  pool[(epoch_base + draw++ / n_sel) % kSinrPool][c]};
-            },
-            mac);
+        report = net::run_jmb_mac(kAps, n_sel, n_sel, pool.fn(), mac);
       }
       out.goodput_mbps[p][ki] = report.total_goodput_mbps;
       ctx.sink.observe(cfg.kind == phy::PrecoderKind::kZf

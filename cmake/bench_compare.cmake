@@ -18,14 +18,10 @@ foreach(var BENCH COMPARE SEED OUT1 OUT2)
   endif()
 endforeach()
 
+include("${CMAKE_CURRENT_LIST_DIR}/run_bench.cmake")
 foreach(out "${OUT1}" "${OUT2}")
-  execute_process(
-    COMMAND "${BENCH}" "${SEED}" "--metrics-out=${out}"
-    RESULT_VARIABLE bench_rc
-    OUTPUT_QUIET)
-  if(NOT bench_rc EQUAL 0)
-    message(FATAL_ERROR "bench '${BENCH}' exited with ${bench_rc}")
-  endif()
+  run_bench("bench '${BENCH}'" "${out}"
+    "${BENCH}" "${SEED}" "--metrics-out=${out}")
 endforeach()
 
 execute_process(

@@ -20,6 +20,8 @@ foreach(var RESILIENCE STREAMING VALIDATOR TRACE_STATS SCHEMA FAULT_PLAN
   endif()
 endforeach()
 
+include("${CMAKE_CURRENT_LIST_DIR}/run_bench.cmake")
+
 function(check_trace path)
   execute_process(
     COMMAND "${VALIDATOR}" "${SCHEMA}" "${path}"
@@ -37,14 +39,9 @@ endfunction()
 
 # --- Leg 1: the quarantine path dumps a crash scene automatically.
 file(REMOVE_RECURSE "${DUMP_DIR}")
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env "JMB_FLIGHT_DUMP_DIR=${DUMP_DIR}"
-          "${RESILIENCE}" 3 "--fault-plan=${FAULT_PLAN}"
-  RESULT_VARIABLE bench_rc
-  OUTPUT_QUIET)
-if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR "resilience bench exited with ${bench_rc}")
-endif()
+run_bench("resilience bench" ""
+  "${CMAKE_COMMAND}" -E env "JMB_FLIGHT_DUMP_DIR=${DUMP_DIR}"
+  "${RESILIENCE}" 3 "--fault-plan=${FAULT_PLAN}")
 
 file(GLOB dumps "${DUMP_DIR}/flight_*.json")
 list(LENGTH dumps n_dumps)
@@ -56,14 +53,6 @@ list(GET dumps 0 first_dump)
 check_trace("${first_dump}")
 
 # --- Leg 2: --trace-out drains the recorder after a streaming run.
-execute_process(
-  COMMAND "${STREAMING}" 11 --quick "--trace-out=${TRACE_OUT}"
-  RESULT_VARIABLE bench_rc
-  OUTPUT_QUIET)
-if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR "streaming bench exited with ${bench_rc}")
-endif()
-if(NOT EXISTS "${TRACE_OUT}")
-  message(FATAL_ERROR "streaming bench did not write '${TRACE_OUT}'")
-endif()
+run_bench("streaming bench" "${TRACE_OUT}"
+  "${STREAMING}" 11 --quick "--trace-out=${TRACE_OUT}")
 check_trace("${TRACE_OUT}")

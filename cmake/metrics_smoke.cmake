@@ -13,17 +13,9 @@ foreach(var BENCH VALIDATOR SCHEMA OUT)
   endif()
 endforeach()
 
-execute_process(
-  COMMAND "${BENCH}" "--metrics-out=${OUT}" "--metrics-timing"
-  RESULT_VARIABLE bench_rc
-  OUTPUT_QUIET)
-if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR "bench '${BENCH}' exited with ${bench_rc}")
-endif()
-
-if(NOT EXISTS "${OUT}")
-  message(FATAL_ERROR "bench did not write '${OUT}'")
-endif()
+include("${CMAKE_CURRENT_LIST_DIR}/run_bench.cmake")
+run_bench("bench '${BENCH}'" "${OUT}"
+  "${BENCH}" "--metrics-out=${OUT}" "--metrics-timing")
 
 execute_process(
   COMMAND "${VALIDATOR}" "${SCHEMA}" "${OUT}"

@@ -32,23 +32,13 @@ foreach(var ENV1 ENV2 ARGS1 ARGS2)
   endif()
 endforeach()
 
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env ${ENV1}
-          "${BENCH}" "${SEED}" "--metrics-out=${OUT1}" ${ARGS1}
-  RESULT_VARIABLE rc1
-  OUTPUT_QUIET)
-if(NOT rc1 EQUAL 0)
-  message(FATAL_ERROR "bench '${BENCH}' (run 1: ${ENV1} ${ARGS1}) exited with ${rc1}")
-endif()
-
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E env ${ENV2}
-          "${BENCH}" "${SEED}" "--metrics-out=${OUT2}" ${ARGS2}
-  RESULT_VARIABLE rc2
-  OUTPUT_QUIET)
-if(NOT rc2 EQUAL 0)
-  message(FATAL_ERROR "bench '${BENCH}' (run 2: ${ENV2} ${ARGS2}) exited with ${rc2}")
-endif()
+include("${CMAKE_CURRENT_LIST_DIR}/run_bench.cmake")
+run_bench("bench '${BENCH}' (run 1: ${ENV1} ${ARGS1})" "${OUT1}"
+  "${CMAKE_COMMAND}" -E env ${ENV1}
+  "${BENCH}" "${SEED}" "--metrics-out=${OUT1}" ${ARGS1})
+run_bench("bench '${BENCH}' (run 2: ${ENV2} ${ARGS2})" "${OUT2}"
+  "${CMAKE_COMMAND}" -E env ${ENV2}
+  "${BENCH}" "${SEED}" "--metrics-out=${OUT2}" ${ARGS2})
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E compare_files "${OUT1}" "${OUT2}"

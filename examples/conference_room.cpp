@@ -70,34 +70,25 @@ int main(int argc, char** argv) {
 
     double jmb_total = 0.0;
     if (n >= 2) {
-      std::optional<core::ZfPrecoder> precoder;
+      std::optional<core::Precoder> precoder;
       core::ChannelMatrixSet h(0, 0);
       {
         const auto timer = ctx.time_stage(engine::kStagePrecode);
         h = core::well_conditioned_channel_set(gains, rng);
-        precoder = core::ZfPrecoder::build(h, 1.0, &ctx.sink);
+        precoder = core::Precoder::build_kind(h, core::PrecoderConfig{},
+                                              &ctx.sink);
       }
       if (!precoder) {
         return std::pair<double, double>{base.total_goodput_mbps, 0.0};
       }
-      Rng err_rng(rng.next_u64());
-      std::vector<std::vector<rvec>> pool;
+      core::SinrPool pool(16, n, Rng(rng.next_u64()));
       {
         const auto timer = ctx.time_stage(engine::kStagePropagate);
-        for (int i = 0; i < 16; ++i) {
-          pool.push_back(
-              core::jmb_subcarrier_sinrs(h, *precoder, 0.02, 1.0, err_rng));
-        }
+        pool.append(h, &*precoder);
       }
-      std::size_t draw = 0;
       mac.seed = rng.next_u64();
       const auto timer = ctx.time_stage(engine::kStageDecode);
-      const net::MacReport jmb = net::run_jmb_mac(
-          n, n, n,
-          [&](std::size_t c) {
-            return net::LinkState{pool[(draw++ / n) % 16][c]};
-          },
-          mac);
+      const net::MacReport jmb = net::run_jmb_mac(n, n, n, pool.fn(), mac);
       jmb_total = jmb.total_goodput_mbps;
     } else {
       jmb_total = base.total_goodput_mbps;  // one AP: nothing to join

@@ -50,8 +50,9 @@ Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng,
                               Workspace* ws) {
   const std::size_t n_tx = p.n_aps * p.ants_per_node;
   const std::size_t n_rx = p.n_clients * p.ants_per_node;
-  if (n_tx < 2) {
-    throw std::invalid_argument("run_compat11n: need >= 2 tx antennas");
+  if (n_tx < 2 || n_rx > n_tx) {
+    throw std::invalid_argument(
+        "run_compat11n: need >= 2 tx antennas and no more rx than tx");
   }
 
   // True channels (time-invariant within the experiment) with link gain.
@@ -181,8 +182,8 @@ Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng,
   // small residual (one error per slave AP, shared by its antennas).
   ChannelMatrixSet h_for_zf(n_rx, n_tx);
   for (std::size_t k = 0; k < n_sc; ++k) h_for_zf.at(k) = h_hat[k];
-  const auto precoder = ws ? ZfPrecoder::build(h_for_zf, *ws)
-                           : ZfPrecoder::build(h_for_zf);
+  const auto precoder = ws ? Precoder::build_kind(h_for_zf, {}, *ws)
+                           : Precoder::build_kind(h_for_zf, {});
   result.jmb_stream_sinr.assign(n_rx, rvec(n_sc, 0.0));
   double noise = p.noise_power;
   if (precoder && p.effective_snr_db > 0.0) {

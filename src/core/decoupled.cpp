@@ -31,8 +31,8 @@ struct NodeOsc {
 rvec mean_sinr_db(const ChannelMatrixSet& h_snapshot,
                   const std::vector<CMatrix>& h_eff,
                   double noise_power, Workspace* ws) {
-  const auto precoder = ws ? ZfPrecoder::build(h_snapshot, *ws)
-                           : ZfPrecoder::build(h_snapshot);
+  const auto precoder = ws ? Precoder::build_kind(h_snapshot, {}, *ws)
+                           : Precoder::build_kind(h_snapshot, {});
   const std::size_t nc = h_snapshot.n_clients();
   rvec out(nc, -100.0);
   if (!precoder) return out;
@@ -145,8 +145,8 @@ DecoupledResult run_decoupled(const DecoupledParams& p, Rng& rng,
   // operating point matches the requested effective SNR.
   double noise = p.noise_power;
   if (p.effective_snr_db > 0.0) {
-    if (const auto pre = ws ? ZfPrecoder::build(h_oracle, *ws)
-                            : ZfPrecoder::build(h_oracle)) {
+    if (const auto pre = ws ? Precoder::build_kind(h_oracle, {}, *ws)
+                            : Precoder::build_kind(h_oracle, {})) {
       noise = pre->scale() * pre->scale() / from_db(p.effective_snr_db);
     }
   }

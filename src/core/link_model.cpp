@@ -1,7 +1,11 @@
 #include "core/link_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "phy/params.h"
+#include "phy/workspace.h"
 
 namespace jmb::core {
 
@@ -147,7 +151,7 @@ ChannelMatrixSet well_conditioned_channel_set(
 
 SinrReport beamforming_sinr(const ChannelMatrixSet& h, const rvec& phase_err,
                             double noise_power) {
-  const auto precoder = ZfPrecoder::build(h);
+  const auto precoder = Precoder::build_kind(h, PrecoderConfig{});
   if (!precoder) {
     throw std::invalid_argument("beamforming_sinr: singular channel");
   }
@@ -155,12 +159,14 @@ SinrReport beamforming_sinr(const ChannelMatrixSet& h, const rvec& phase_err,
 }
 
 SinrReport beamforming_sinr(const ChannelMatrixSet& h,
-                            const ZfPrecoder& precoder_ref,
-                            const rvec& phase_err, double noise_power) {
+                            const Precoder& precoder, const rvec& phase_err,
+                            double noise_power) {
   if (phase_err.size() != h.n_tx()) {
     throw std::invalid_argument("beamforming_sinr: phase_err size != n_tx");
   }
-  const ZfPrecoder* precoder = &precoder_ref;
+  if (precoder.n_streams() != h.n_clients()) {
+    throw std::invalid_argument("beamforming_sinr: one stream per client");
+  }
   const std::size_t nc = h.n_clients();
 
   SinrReport rep;
@@ -176,7 +182,7 @@ SinrReport beamforming_sinr(const ChannelMatrixSet& h,
         h_err(c, a) *= phasor(phase_err[a]);
       }
     }
-    const CMatrix g = h_err * precoder->weights(k);
+    const CMatrix g = h_err * precoder.weights(k);
     for (std::size_t c = 0; c < nc; ++c) {
       const double sig = std::norm(g(c, c));
       double interf = 0.0;
@@ -210,7 +216,7 @@ double snr_reduction_db(std::size_t n_clients, std::size_t n_tx,
     rvec misaligned(n_tx, 0.0);
     for (std::size_t a = 1; a < n_tx; ++a) misaligned[a] = misalignment_rad;
 
-    const auto precoder = ZfPrecoder::build(h);
+    const auto precoder = Precoder::build_kind(h, PrecoderConfig{});
     if (!precoder) continue;
     const double noise =
         precoder->scale() * precoder->scale() / from_db(snr_db);
@@ -227,8 +233,8 @@ double snr_reduction_db(std::size_t n_clients, std::size_t n_tx,
 
 double expected_inr_db(const ChannelMatrixSet& h, double phase_err_sigma,
                        double noise_power, std::size_t trials, Rng& rng) {
-  const auto precoder = ZfPrecoder::build(h);
-  if (!precoder) {
+  const auto precoder = Precoder::build_kind(h, PrecoderConfig{});
+  if (!precoder || precoder->n_streams() != h.n_clients()) {
     throw std::invalid_argument("expected_inr_db: singular channel");
   }
   // INR at client 0 when its stream is silent: leakage of the other
@@ -260,17 +266,7 @@ double expected_inr_db(const ChannelMatrixSet& h, double phase_err_sigma,
 }
 
 std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                       double phase_err_sigma,
-                                       double noise_power, Rng& rng) {
-  const auto precoder = ZfPrecoder::build(h);
-  if (!precoder) {
-    throw std::invalid_argument("jmb_subcarrier_sinrs: singular channel");
-  }
-  return jmb_subcarrier_sinrs(h, *precoder, phase_err_sigma, noise_power, rng);
-}
-
-std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                       const ZfPrecoder& precoder,
+                                       const Precoder& precoder,
                                        double phase_err_sigma,
                                        double noise_power, Rng& rng) {
   rvec phase(h.n_tx(), 0.0);
@@ -279,6 +275,92 @@ std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
   }
   const SinrReport rep = beamforming_sinr(h, precoder, phase, noise_power);
   return rep.sinr_per_subcarrier;
+}
+
+SinrPool::SinrPool(std::size_t size, std::size_t n_streams, Rng rng)
+    : size_(size), n_streams_(n_streams), rng_(rng) {}
+
+SinrPool::SinrPool(const ChannelMatrixSet& h, Workspace& ws, std::size_t size,
+                   std::size_t n_streams, Rng rng,
+                   std::vector<double> interference)
+    : size_(size),
+      n_streams_(n_streams),
+      rng_(rng),
+      h_(&h),
+      ws_(&ws),
+      interference_(std::move(interference)) {}
+
+SinrPool::Draws SinrPool::draw(const ChannelMatrixSet& h,
+                               const Precoder& precoder) {
+  Draws draws;
+  draws.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::vector<rvec> sinrs =
+        jmb_subcarrier_sinrs(h, precoder, kCalibratedPhaseSigma, 1.0, rng_);
+    if (!interference_.empty()) {
+      for (rvec& per_client : sinrs) {
+        for (std::size_t k = 0; k < per_client.size(); ++k) {
+          per_client[k] /= 1.0 + interference_[k % interference_.size()];
+        }
+      }
+    }
+    draws.push_back(std::move(sinrs));
+  }
+  return draws;
+}
+
+void SinrPool::append(const ChannelMatrixSet& h, const Precoder* precoder) {
+  appended_.resize(size_);
+  if (precoder == nullptr) {
+    for (std::vector<rvec>& clients : appended_) {
+      clients.resize(clients.size() + h.n_clients());
+    }
+    return;
+  }
+  Draws draws = draw(h, *precoder);
+  for (std::size_t i = 0; i < size_; ++i) {
+    for (rvec& sinr : draws[i]) appended_[i].push_back(std::move(sinr));
+  }
+}
+
+net::LinkState SinrPool::read(const Draws& draws, std::size_t client) {
+  if (draws.empty() || draws[0][client].empty()) {
+    return net::LinkState{rvec(used_subcarriers().size(), 0.0)};
+  }
+  return net::LinkState{
+      draws[(offset_ + reads_++ / n_streams_) % size_][client]};
+}
+
+net::LinkState SinrPool::state(std::size_t client,
+                               std::span<const std::uint8_t> active_tx) {
+  if (h_ == nullptr) {
+    throw std::logic_error("SinrPool: masked reads need the masked pool");
+  }
+  std::uint64_t key = 0;
+  for (std::size_t a = 0; a < active_tx.size(); ++a) {
+    if (active_tx[a]) key |= std::uint64_t{1} << (a % 64);
+  }
+  auto [it, fresh] = masked_.try_emplace(key);
+  if (fresh) {
+    // Too few survivors to zero-force every stream leaves the set without
+    // draws, so its transmissions are outages.
+    if (const auto precoder =
+            Precoder::build_masked(*h_, PrecoderConfig{}, active_tx, *ws_)) {
+      it->second = draw(*h_, *precoder);
+    }
+  }
+  return read(it->second, client);
+}
+
+net::LinkState best_ap_link_state(std::span<const double> gains,
+                                  std::span<const std::uint8_t> up) {
+  double best = 0.0;
+  for (std::size_t a = 0; a < gains.size(); ++a) {
+    if (up.empty() || (a < up.size() && up[a])) {
+      best = std::max(best, gains[a]);
+    }
+  }
+  return net::LinkState{rvec(phy::kNumDataCarriers, best)};
 }
 
 std::vector<rvec> baseline_subcarrier_snrs(const ChannelMatrixSet& h,

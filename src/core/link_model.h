@@ -8,16 +8,31 @@
 // and the leakage terms g_cj are what misalignment costs. This is the
 // engine behind Fig. 6 (SNR reduction vs misalignment) and the fast path
 // for the throughput sweeps (Figs. 9-13), with the phase-error scale
-// calibrated against the sample-level system (Fig. 7).
+// calibrated against the sample-level system (Fig. 7). SinrPool and
+// best_ap_link_state are the link abstraction every MAC-level number uses
+// (DESIGN.md §7).
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <map>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/precoder.h"
 #include "dsp/rng.h"
+#include "net/mac.h"
+
+namespace jmb {
+class Workspace;
+}
 
 namespace jmb::core {
+
+/// Residual per-slave phase-error sigma (radians) of the link abstraction,
+/// calibrated against the sample-level Fig. 7 distribution (median 0.017,
+/// 95th pct < 0.05 rad => sigma ~ 0.02).
+inline constexpr double kCalibratedPhaseSigma = 0.02;
 
 /// Random i.i.d. Rayleigh channel set (unit mean power per link), the
 /// "100 different random channel matrices" of the paper's Fig. 6 method.
@@ -73,7 +88,7 @@ struct SinrReport {
 /// Same, with a precomputed precoder (avoids re-inverting H per call —
 /// use this inside MAC simulations that query SINRs per transmission).
 [[nodiscard]] SinrReport beamforming_sinr(const ChannelMatrixSet& h,
-                                          const ZfPrecoder& precoder,
+                                          const Precoder& precoder,
                                           const rvec& phase_err,
                                           double noise_power);
 
@@ -93,14 +108,93 @@ struct SinrReport {
 /// Per-client subcarrier SINRs under random phase errors, for feeding the
 /// MAC simulations: draws one phase-error vector per call.
 [[nodiscard]] std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
+                                                     const Precoder& precoder,
                                                      double phase_err_sigma,
                                                      double noise_power,
                                                      Rng& rng);
-[[nodiscard]] std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                                     const ZfPrecoder& precoder,
-                                                     double phase_err_sigma,
-                                                     double noise_power,
-                                                     Rng& rng);
+
+/// JMB link states for the MAC: a pool of `size` per-transmission SINR
+/// draws (jmb_subcarrier_sinrs at kCalibratedPhaseSigma, unit noise since
+/// link gains are SNRs), read through one cursor that moves to the next
+/// draw every `n_streams` reads — one draw per joint transmission.
+///
+/// Fill it one of two ways:
+///  - append(): draws for a precoder the caller built. Each call appends
+///    one client group, so draw i holds every group's draw i.
+///  - the masked constructor: one set of draws per distinct active-AP set,
+///    built by Precoder::build_masked (ZF, unit power) the first time the
+///    MAC asks for that set. Every set shares the one cursor.
+///
+/// Entries come from the caller's `rng` in request order, so a pool is as
+/// deterministic as its caller. A client without draws (its group's or its
+/// active set's precoder could not be built) gets the zero-SNR outage
+/// state and leaves the cursor where it was.
+class SinrPool {
+ public:
+  SinrPool(std::size_t size, std::size_t n_streams, Rng rng);
+
+  /// Masked pool over `h`; `h` and `ws` must outlive it. A non-empty
+  /// `interference` profile divides every entry, SINR[k] / (1 + I[k % n]).
+  SinrPool(const ChannelMatrixSet& h, Workspace& ws, std::size_t size,
+           std::size_t n_streams, Rng rng,
+           std::vector<double> interference = {});
+
+  /// fn() and masked_fn() hand out callbacks bound to this object.
+  SinrPool(const SinrPool&) = delete;
+  SinrPool& operator=(const SinrPool&) = delete;
+
+  /// Append one client group: `size` draws of `precoder`'s SINRs over the
+  /// true channel `h`. A null precoder appends the group as an outage.
+  void append(const ChannelMatrixSet& h, const Precoder* precoder);
+
+  /// Shift every later read by `draws` entries (a re-measured channel
+  /// starts on fresh draws).
+  void set_offset(std::size_t draws) { offset_ = draws; }
+
+  /// Link state of `client` from the appended groups.
+  [[nodiscard]] net::LinkState state(std::size_t client) {
+    return read(appended_, client);
+  }
+  /// Link state of `client` from the draws for active set `active_tx`.
+  [[nodiscard]] net::LinkState state(std::size_t client,
+                                     std::span<const std::uint8_t> active_tx);
+
+  [[nodiscard]] net::LinkStateFn fn() {
+    return [this](std::size_t c) { return state(c); };
+  }
+  [[nodiscard]] net::MaskedLinkStateFn masked_fn() {
+    return [this](std::size_t c, const std::vector<std::uint8_t>& active) {
+      return state(c, active);
+    };
+  }
+
+ private:
+  using Draws = std::vector<std::vector<rvec>>;  ///< [draw][client]
+
+  [[nodiscard]] Draws draw(const ChannelMatrixSet& h,
+                           const Precoder& precoder);
+  [[nodiscard]] net::LinkState read(const Draws& draws, std::size_t client);
+
+  std::size_t size_ = 0;
+  std::size_t n_streams_ = 0;
+  Rng rng_;
+  const ChannelMatrixSet* h_ = nullptr;
+  Workspace* ws_ = nullptr;
+  std::vector<double> interference_;
+  Draws appended_;
+  /// Keyed on the packed active-AP bitmask, bit a % 64 per active AP (sets
+  /// beyond 64 APs alias): a vector<uint8_t> key trips a GCC 12
+  /// -Wstringop-overread misfire in std::map's three-way compare.
+  std::map<std::uint64_t, Draws> masked_;
+  std::size_t offset_ = 0;
+  std::size_t reads_ = 0;
+};
+
+/// 802.11 link state: flat at the client's best link gain (an SNR) among
+/// the APs marked up in `up`, so re-association to the best surviving AP
+/// is instant. An empty `up` counts every AP as up.
+[[nodiscard]] net::LinkState best_ap_link_state(
+    std::span<const double> gains, std::span<const std::uint8_t> up = {});
 
 /// Baseline: client's per-subcarrier SNRs from its best AP alone.
 [[nodiscard]] std::vector<rvec> baseline_subcarrier_snrs(

@@ -44,20 +44,6 @@ double zf_leakage_db(const CMatrix& h, const CMatrix& w) {
 
 }  // namespace
 
-std::optional<Precoder> Precoder::build(const ChannelMatrixSet& h,
-                                        double per_antenna_power,
-                                        const obs::ObsSink* obs) {
-  PinvScratch scratch;
-  return build_impl(h, scratch, per_antenna_power, obs);
-}
-
-std::optional<Precoder> Precoder::build(const ChannelMatrixSet& h,
-                                        Workspace& ws,
-                                        double per_antenna_power,
-                                        const obs::ObsSink* obs) {
-  return build_impl(h, ws.pinv, per_antenna_power, obs);
-}
-
 std::optional<Precoder> Precoder::build_kind(const ChannelMatrixSet& h,
                                              const PrecoderConfig& cfg,
                                              Workspace& ws,
@@ -94,21 +80,6 @@ std::optional<Precoder> Precoder::build_kind_impl(const ChannelMatrixSet& h,
 }
 
 std::optional<Precoder> Precoder::build_masked(
-    const ChannelMatrixSet& h, std::span<const std::uint8_t> active_tx,
-    Workspace& ws, double per_antenna_power, const obs::ObsSink* obs) {
-  PrecoderConfig cfg;
-  cfg.per_antenna_power = per_antenna_power;
-  return build_masked_impl(h, cfg, active_tx, ws, obs);
-}
-
-std::optional<Precoder> Precoder::build_masked(
-    const ChannelMatrixSet& h, const PrecoderConfig& cfg,
-    std::span<const std::uint8_t> active_tx, Workspace& ws,
-    const obs::ObsSink* obs) {
-  return build_masked_impl(h, cfg, active_tx, ws, obs);
-}
-
-std::optional<Precoder> Precoder::build_masked_impl(
     const ChannelMatrixSet& h, const PrecoderConfig& cfg,
     std::span<const std::uint8_t> active_tx, Workspace& ws,
     const obs::ObsSink* obs) {
@@ -119,7 +90,7 @@ std::optional<Precoder> Precoder::build_masked_impl(
   for (const std::uint8_t a : active_tx) n_active += (a != 0) ? 1 : 0;
   if (n_active == h.n_tx()) {
     // Full set active: take the ordinary path so results stay bitwise
-    // identical to build() (no reduce/expand round trip).
+    // identical to an unmasked build (no reduce/expand round trip).
     Precoder full;
     if (!full.rebuild_kind(h, cfg, ws.pinv, obs)) return std::nullopt;
     return full;
@@ -173,17 +144,6 @@ void Precoder::pack() {
       for (std::size_t k = 0; k < n_sc; ++k) row[k] = w_[k](a, j);
     }
   }
-}
-
-std::optional<Precoder> Precoder::build_impl(const ChannelMatrixSet& h,
-                                             PinvScratch& scratch,
-                                             double per_antenna_power,
-                                             const obs::ObsSink* obs) {
-  PrecoderConfig cfg;
-  cfg.per_antenna_power = per_antenna_power;
-  Precoder p;
-  if (!p.rebuild_kind(h, cfg, scratch, obs)) return std::nullopt;
-  return p;
 }
 
 bool Precoder::rebuild_kind(const ChannelMatrixSet& h,

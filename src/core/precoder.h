@@ -5,11 +5,11 @@
 // need to normalize H^{-1} to respect power constraints"). The effective
 // channel every client sees is scale * I.
 //
-// The precoder zoo (ROADMAP item 2) generalizes the same build/apply
-// interface across three weight rules selected by phy::PrecoderKind:
+// The precoder zoo builds through one interface (build_kind, build_masked,
+// rebuild_kind) across three weight rules selected by phy::PrecoderKind:
 //
-//   kZf   W_k = pinv(H_k)            — the paper's choice; bit-identical
-//                                      to the original ZfPrecoder path.
+//   kZf   W_k = pinv(H_k)            — the paper's choice (the default
+//                                      PrecoderConfig).
 //   kRzf  W_k = H^H (H H^H + a I)^-1 — regularized ZF; with the ridge `a`
 //                                      matched to noise + CSI-error power
 //                                      this is the MMSE transmit filter.
@@ -41,7 +41,7 @@ class Workspace;
 
 namespace jmb::core {
 
-/// How to build the weights. Default-constructed = the legacy ZF path.
+/// How to build the weights. Default-constructed = ZF at unit power.
 struct PrecoderConfig {
   phy::PrecoderKind kind = phy::PrecoderKind::kZf;
   /// Each AP antenna's average transmit power budget per subcarrier.
@@ -63,32 +63,20 @@ struct PrecoderConfig {
 /// Precoder across all used subcarriers (zoo of weight rules; see above).
 class Precoder {
  public:
-  /// Build from the measured channel set. `per_antenna_power` is each AP
-  /// antenna's average transmit power budget per subcarrier. Returns
-  /// nullopt if any subcarrier's channel is (numerically) rank deficient.
-  /// A non-null `obs` receives conditioning and zero-forcing-leakage
-  /// distributions sampled over a few strided subcarriers.
-  [[nodiscard]] static std::optional<Precoder> build(
-      const ChannelMatrixSet& h, double per_antenna_power = 1.0,
-      const obs::ObsSink* obs = nullptr);
-
-  /// Workspace-backed build: the per-subcarrier pseudo-inverses run through
-  /// `ws.pinv` scratch, so a warm workspace makes the build allocation-free
-  /// apart from first-time growth of `w_`. Bitwise-identical to build().
-  [[nodiscard]] static std::optional<Precoder> build(
-      const ChannelMatrixSet& h, Workspace& ws, double per_antenna_power = 1.0,
-      const obs::ObsSink* obs = nullptr);
-
-  /// Zoo entry point: build weights for `cfg.kind`. When the channel has
-  /// more clients than AP antennas the spatially most separable n_tx users
-  /// are greedy-selected first (see greedy_select); selected_users() then
-  /// reports who made the cut. With cfg.kind == kZf and n_clients <= n_tx
-  /// this is bitwise-identical to build().
+  /// Build weights for `cfg.kind` from the measured channel set. The
+  /// per-subcarrier solves run through `ws.pinv` scratch, so a warm
+  /// workspace makes the build allocation-free apart from first-time
+  /// growth of the weights. Returns nullopt if any subcarrier's channel is
+  /// (numerically) rank deficient. When the channel has more clients than
+  /// AP antennas the spatially most separable n_tx users are
+  /// greedy-selected first (see greedy_select); selected_users() then
+  /// reports who made the cut. A non-null `obs` receives conditioning and
+  /// leakage distributions sampled over a few strided subcarriers.
   [[nodiscard]] static std::optional<Precoder> build_kind(
       const ChannelMatrixSet& h, const PrecoderConfig& cfg, Workspace& ws,
       const obs::ObsSink* obs = nullptr);
 
-  /// build_kind with its own scratch (the non-workspace twin of build()).
+  /// build_kind with its own scratch.
   [[nodiscard]] static std::optional<Precoder> build_kind(
       const ChannelMatrixSet& h, const PrecoderConfig& cfg,
       const obs::ObsSink* obs = nullptr);
@@ -97,14 +85,9 @@ class Precoder {
   /// transmit antennas with a nonzero entry in `active_tx` (1 per AP), the
   /// re-derivation a quarantine triggers. Weight matrices keep full n_tx
   /// rows — excluded APs get zero rows — so downstream synthesis indexing
-  /// is unchanged. Requires active count >= n_clients; with every antenna
-  /// active this is bitwise-identical to build().
-  [[nodiscard]] static std::optional<Precoder> build_masked(
-      const ChannelMatrixSet& h, std::span<const std::uint8_t> active_tx,
-      Workspace& ws, double per_antenna_power = 1.0,
-      const obs::ObsSink* obs = nullptr);
-
-  /// build_masked for any precoder kind.
+  /// is unchanged. Returns nullopt when fewer antennas than clients are
+  /// active; with every antenna active this is bitwise-identical to
+  /// rebuild_kind() on the full H.
   [[nodiscard]] static std::optional<Precoder> build_masked(
       const ChannelMatrixSet& h, const PrecoderConfig& cfg,
       std::span<const std::uint8_t> active_tx, Workspace& ws,
@@ -191,21 +174,10 @@ class Precoder {
   }
 
  private:
-  /// Single implementation behind both legacy build() overloads.
-  [[nodiscard]] static std::optional<Precoder> build_impl(
-      const ChannelMatrixSet& h, PinvScratch& scratch,
-      double per_antenna_power, const obs::ObsSink* obs);
-
   /// Single implementation behind both build_kind() overloads.
   [[nodiscard]] static std::optional<Precoder> build_kind_impl(
       const ChannelMatrixSet& h, const PrecoderConfig& cfg,
       PinvScratch& scratch, const obs::ObsSink* obs);
-
-  /// Shared reduce/expand masked build for any kind.
-  [[nodiscard]] static std::optional<Precoder> build_masked_impl(
-      const ChannelMatrixSet& h, const PrecoderConfig& cfg,
-      std::span<const std::uint8_t> active_tx, Workspace& ws,
-      const obs::ObsSink* obs);
 
   /// Re-fill packed_ from w_ (call whenever w_ changes).
   void pack();
@@ -216,10 +188,6 @@ class Precoder {
   double scale_ = 0.0;
   phy::PrecoderKind kind_ = phy::PrecoderKind::kZf;
 };
-
-/// Original name of the ZF-only precoder; every legacy call site keeps
-/// compiling (and the ZF build path stays byte-for-byte the same code).
-using ZfPrecoder = Precoder;
 
 /// Reduced channel set keeping only the given client rows (ascending
 /// caller-chosen order) — the companion of Precoder::greedy_select.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace jmb::fault {
 
@@ -108,6 +110,9 @@ FaultSession::FaultSession(const FaultPlan& plan, std::size_t n_aps,
       crash_(n_aps),
       sync_(n_aps),
       injectors_{&crash_, &sync_, &osc_, &stale_, &backhaul_} {
+  if (std::string error; !plan.check_aps(n_aps, &error)) {
+    throw std::invalid_argument("FaultSession: " + error);
+  }
   last_fault_t_ = -std::numeric_limits<double>::infinity();
   const std::vector<FaultEvent>& events = plan.events();
   edges_.reserve(2 * events.size());

@@ -158,7 +158,8 @@ class BackhaulInjector final : public Injector {
 /// edges it is two comparisons — cheap enough for every frame.
 class FaultSession {
  public:
-  /// `plan` must outlive the session. `trial_seed` decorrelates the
+  /// `plan` must outlive the session and pass plan.check_aps(n_aps)
+  /// (std::invalid_argument otherwise). `trial_seed` decorrelates the
   /// probabilistic decisions across trials; the same (plan, trial_seed)
   /// always reproduces the same decisions.
   FaultSession(const FaultPlan& plan, std::size_t n_aps,

@@ -180,6 +180,22 @@ FaultPlan FaultPlan::from_json(const obs::JsonValue& doc, std::string* error) {
   return FaultPlan(std::move(parsed), seed);
 }
 
+bool FaultPlan::check_aps(std::size_t n_aps, std::string* error) const {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const FaultEvent& ev = events_[i];
+    const bool ap_scoped = ev.kind != FaultKind::kStaleChannel &&
+                           ev.kind != FaultKind::kBackhaulLoss &&
+                           ev.kind != FaultKind::kBackhaulDelay;
+    if (ap_scoped && ev.ap >= n_aps) {
+      return set_error(error, "fault plan: events[" + std::to_string(i) +
+                                  "]: 'ap' " + std::to_string(ev.ap) +
+                                  " is out of range for " +
+                                  std::to_string(n_aps) + " APs");
+    }
+  }
+  return true;
+}
+
 FaultPlan FaultPlan::load(const std::string& path, std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) {

@@ -82,6 +82,13 @@ class FaultPlan {
   [[nodiscard]] static FaultPlan load(const std::string& path,
                                       std::string* error = nullptr);
 
+  /// False, with an `events[i]` error naming the first offender (i in the
+  /// plan's time order, as to_json writes it), when an AP-scoped event
+  /// targets an AP outside [0, n_aps). Binding the plan to n_aps APs
+  /// (FaultSession) requires this to hold.
+  [[nodiscard]] bool check_aps(std::size_t n_aps,
+                               std::string* error = nullptr) const;
+
   /// Serialize back to jmb.fault_plan.v1 JSON (round-trips with
   /// from_json; event order is the sorted order).
   [[nodiscard]] std::string to_json() const;

@@ -69,6 +69,10 @@ struct LatencyAccumulator {
 /// A-MPDU delimiter overhead charged per aggregated subframe.
 constexpr std::size_t kMpduDelimiterBytes = 4;
 
+/// Consecutive joint transmissions without the lead's sync header before
+/// the MAC declares the lead dead and re-elects (resilient variant).
+constexpr std::size_t kLeadMissThreshold = 3;
+
 /// Accumulates per-(client, flow) delivery statistics for traffic-mode
 /// runs. std::map keys keep the export order deterministic.
 class FlowTracker {
@@ -247,11 +251,11 @@ MacReport run_mac(bool joint, std::size_t n_aps, std::size_t n_clients,
     }
 
     // --- lead liveness: a dead lead sends no sync header, so the slot is
-    // lost. After lead_miss_threshold such slots the MAC declares it down
+    // lost. After kLeadMissThreshold such slots the MAC declares it down
     // and elects the lowest-indexed surviving AP ---
     if (joint && fault && fault->ap_down(lead)) {
       t += idle_slot_s(params);
-      if (++lead_misses >= params.lead_miss_threshold) {
+      if (++lead_misses >= kLeadMissThreshold) {
         if (resilience) {
           resilience->mark_down(lead, t);
           latency.sample(*resilience);

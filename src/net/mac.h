@@ -58,9 +58,6 @@ struct MacParams {
   rate::AirtimeParams airtime;
   std::uint64_t seed = 1;
   bool saturated = true;  ///< backlogged traffic to every client
-  /// Consecutive joint transmissions without the lead's sync header before
-  /// the MAC declares the lead dead and re-elects (resilient variant).
-  std::size_t lead_miss_threshold = 3;
 
   // --- metro churn/mobility knobs (defaults keep the legacy path) ---
   /// Null = every client always attached.
@@ -177,8 +174,8 @@ struct MacReport {
 /// *believed* active (detection lag) the stale precoder ruins the whole
 /// joint transmission; once quarantined, the MAC triggers an immediate
 /// re-measurement epoch and continues on the surviving set (the mask
-/// passed to `link_state`). A dead lead is declared after
-/// `params.lead_miss_threshold` headerless slots and a new lead elected
+/// passed to `link_state`). A dead lead is declared after three
+/// headerless slots and a new lead elected
 /// from the surviving set. `fault` and `resilience` may be null (either
 /// reduces that mechanism to a no-op); with both null this is
 /// run_jmb_mac with a MaskedLinkStateFn, churn and traffic included.

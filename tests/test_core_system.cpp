@@ -292,6 +292,9 @@ TEST(Compat11n, ReferenceAntennaTrickReconstructsH) {
   // Without it, the stale soundings are rotated by essentially random
   // phases: order-of-magnitude worse.
   EXPECT_GT(r.naive_rel_err, 3.0 * r.reconstruction_rel_err);
+  // Zero forcing needs a transmit antenna per client antenna.
+  p.n_clients = 3;
+  EXPECT_THROW((void)run_compat11n(p, rng), std::invalid_argument);
 }
 
 TEST(Compat11n, JointBeatsBaselinePerStream) {

@@ -145,6 +145,19 @@ TEST(FaultPlan, ParseRejectsIntegersAbove2To53) {
   EXPECT_EQ(plan.seed(), 9007199254740992u);
 }
 
+TEST(FaultPlan, OutOfRangeApIsRejectedWhenBound) {
+  // "ap": 99999999 used to parse, bind and run silently (exit 0).
+  const fault::FaultPlan plan = fault::FaultPlan::from_json(obs::parse_json(
+      R"({"events": [{"kind": "backhaul_loss", "t": 0, "ap": 7},
+                     {"kind": "ap_crash", "t": 1, "ap": 99999999}]})"));
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_TRUE(plan.check_aps(100000000));
+  std::string err;
+  EXPECT_FALSE(plan.check_aps(5, &err));
+  EXPECT_NE(err.find("events[1]: 'ap' 99999999"), std::string::npos) << err;
+  EXPECT_THROW(fault::FaultSession(plan, 5, 1), std::invalid_argument);
+}
+
 TEST(FaultPlan, WindowEndSemantics) {
   const fault::FaultPlan open = fault::FaultPlan::single_crash(1, 2.0);
   EXPECT_EQ(open.events()[0].end_s(), std::numeric_limits<double>::infinity());
@@ -385,9 +398,9 @@ TEST(MaskedPrecoder, FullMaskIsBitwiseIdenticalToBuild) {
   Rng rng(11);
   const auto h = core::random_channel_set(3, 4, rng);
   Workspace ws;
-  const auto full = core::ZfPrecoder::build(h, ws);
+  const auto full = core::Precoder::build_kind(h, {}, ws);
   const std::vector<std::uint8_t> mask(4, 1);
-  const auto masked = core::ZfPrecoder::build_masked(h, mask, ws);
+  const auto masked = core::Precoder::build_masked(h, {}, mask, ws);
   ASSERT_TRUE(full.has_value());
   ASSERT_TRUE(masked.has_value());
   EXPECT_EQ(full->scale(), masked->scale());  // bitwise, not approximate
@@ -407,7 +420,7 @@ TEST(MaskedPrecoder, ExcludedApsGetZeroRows) {
   const auto h = core::random_channel_set(3, 5, rng);
   Workspace ws;
   const std::vector<std::uint8_t> mask{1, 0, 1, 1, 0};
-  const auto p = core::ZfPrecoder::build_masked(h, mask, ws);
+  const auto p = core::Precoder::build_masked(h, {}, mask, ws);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->n_tx(), 5u);
   EXPECT_EQ(p->n_streams(), 3u);
@@ -429,7 +442,7 @@ TEST(MaskedPrecoder, ExcludedApsGetZeroRows) {
       ++out;
     }
   }
-  const auto small = core::ZfPrecoder::build(reduced, ws);
+  const auto small = core::Precoder::build_kind(reduced, {}, ws);
   ASSERT_TRUE(small.has_value());
   EXPECT_EQ(p->scale(), small->scale());
   const std::size_t active_rows[] = {0, 2, 3};
@@ -447,7 +460,7 @@ TEST(MaskedPrecoder, TooFewSurvivorsReturnsNullopt) {
   const auto h = core::random_channel_set(3, 4, rng);
   Workspace ws;
   const std::vector<std::uint8_t> mask{1, 0, 1, 0};  // 2 antennas, 3 streams
-  EXPECT_FALSE(core::ZfPrecoder::build_masked(h, mask, ws).has_value());
+  EXPECT_FALSE(core::Precoder::build_masked(h, {}, mask, ws).has_value());
 }
 
 // ----------------------------------------------------- engine integration
@@ -681,11 +694,7 @@ TEST(ResilientMac, BaselineReassociatesWithSurvivingAp) {
                                                {from_db(15.0), from_db(30.0)}};
   const auto links = [&gains](std::size_t c,
                               const std::vector<std::uint8_t>& up) {
-    double best = 0.0;
-    for (std::size_t a = 0; a < gains[c].size(); ++a) {
-      if (up[a]) best = std::max(best, gains[c][a]);
-    }
-    return net::LinkState{rvec(phy::kNumDataCarriers, best)};
+    return core::best_ap_link_state(gains[c], up);
   };
   net::MacParams p;
   p.duration_s = 0.4;

@@ -20,7 +20,6 @@ namespace {
 using core::ChannelMatrixSet;
 using core::Precoder;
 using core::PrecoderConfig;
-using core::ZfPrecoder;
 using phy::CsiImpairment;
 using phy::PrecoderKind;
 
@@ -200,29 +199,6 @@ TEST(PrecoderZoo, ConjugateIsHermitianTransposeTimesScale) {
 }
 
 // --------------------------------------------------------- bitwise parity
-
-TEST(PrecoderZoo, DefaultConfigBitwiseMatchesLegacyBuild) {
-  Rng rng(31);
-  const ChannelMatrixSet h = core::random_channel_set(3, 3, rng);
-  const auto legacy = ZfPrecoder::build(h);
-  const auto zoo = Precoder::build_kind(h, PrecoderConfig{});
-  ASSERT_TRUE(legacy.has_value());
-  ASSERT_TRUE(zoo.has_value());
-  EXPECT_TRUE(same_weights(*legacy, *zoo));
-  EXPECT_TRUE(zoo->selected_users().empty());
-
-  Workspace ws;
-  const auto ws_zoo = Precoder::build_kind(h, PrecoderConfig{}, ws);
-  ASSERT_TRUE(ws_zoo.has_value());
-  EXPECT_TRUE(same_weights(*legacy, *ws_zoo));
-
-  // Full-mask masked build is the same bits too.
-  const std::vector<std::uint8_t> all_active(h.n_tx(), 1);
-  const auto masked =
-      Precoder::build_masked(h, PrecoderConfig{}, all_active, ws);
-  ASSERT_TRUE(masked.has_value());
-  EXPECT_TRUE(same_weights(*legacy, *masked));
-}
 
 TEST(PrecoderZoo, RebuildKindMatchesFreshBuild) {
   Rng rng(37);
