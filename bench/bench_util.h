@@ -21,6 +21,8 @@
 #include "obs/export.h"
 #include "obs/flight/export.h"
 #include "obs/flight/recorder.h"
+#include "rate/airtime.h"
+#include "rate/effective_snr.h"
 
 namespace jmb::bench {
 
@@ -239,6 +241,21 @@ inline void banner(const std::string& title, std::uint64_t seed) {
               engine::default_thread_count());
   std::printf(
       "==============================================================\n");
+}
+
+/// Goodput (Mb/s) of back-to-back 1500-byte frames, with a 16 us gap, at
+/// the best rate the per-subcarrier SNRs support; 0 if even the base rate
+/// fails. One rate::LinkQuality serves the rate and its PER.
+inline double saturated_goodput_mbps(const rvec& sub_snr,
+                                     double sample_rate_hz) {
+  const rate::LinkQuality link(sub_snr);
+  const auto ri = link.best_rate();
+  if (!ri) return 0.0;
+  const phy::Mcs& mcs = phy::rate_set()[*ri];
+  const double airtime =
+      rate::frame_airtime_s(1500, mcs, sample_rate_hz) + 16e-6;
+  const double per = link.frame_error_prob(*ri, 1500);
+  return 1500.0 * 8.0 * (1.0 - per) / airtime / 1e6;
 }
 
 /// The paper's three effective-SNR bands (Section 11).

@@ -4,6 +4,7 @@
 // histogram type, not just means).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <thread>
 
 #include "bench_util.h"
@@ -21,6 +22,8 @@
 #include "phy/transmitter.h"
 #include "phy/viterbi.h"
 #include "phy/workspace.h"
+#include "rate/effective_snr.h"
+#include "rate/per.h"
 #include "simd/aligned.h"
 #include "simd/backend.h"
 #include "simd/kernels.h"
@@ -388,6 +391,50 @@ void BM_BeamformingSinr10x10(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BeamformingSinr10x10);
+
+// One fixed 52-subcarrier link state for the rate kernels: a
+// frequency-selective ripple between about 3 and 33 dB, so the mean BERs
+// sit between thresholds and every rate is compared.
+rvec rate_bench_snr() {
+  rvec snr(52);
+  for (std::size_t k = 0; k < snr.size(); ++k) {
+    snr[k] = from_db(18.0 + 15.0 * std::sin(0.37 * static_cast<double>(k)));
+  }
+  return snr;
+}
+
+// The free API the benches call: one LinkQuality per call.
+void BM_SelectRate(benchmark::State& state) {
+  const rvec snr = rate_bench_snr();
+  for (auto _ : state) {
+    auto r = rate::select_rate(snr);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_SelectRate);
+
+// One constellation's mean BER plus one inversion.
+void BM_FrameErrorProb(benchmark::State& state) {
+  const rvec snr = rate_bench_snr();
+  const std::size_t ri = rate::select_rate(snr).value_or(0);
+  for (auto _ : state) {
+    double per = rate::frame_error_prob(snr, ri, 1500);
+    benchmark::DoNotOptimize(per);
+  }
+}
+BENCHMARK(BM_FrameErrorProb);
+
+// What the MAC does per frame member: build, select, one reference PER.
+void BM_LinkQuality(benchmark::State& state) {
+  const rvec snr = rate_bench_snr();
+  for (auto _ : state) {
+    const rate::LinkQuality link(snr);
+    const std::size_t ri = link.best_rate().value_or(0);
+    double per = link.reference_per(ri);
+    benchmark::DoNotOptimize(per);
+  }
+}
+BENCHMARK(BM_LinkQuality);
 
 // Uncontended SPSC hand-off: one push + one pop on the same thread — the
 // pure ring overhead an operator pays per item, without cache-line

@@ -8,6 +8,26 @@
 #include "phy/workspace.h"
 
 namespace jmb::core {
+namespace {
+
+// e^{j phi_a} for each AP's phase error.
+cvec ap_phasors(const rvec& phase_err) {
+  cvec out(phase_err.size());
+  for (std::size_t a = 0; a < phase_err.size(); ++a) {
+    out[a] = phasor(phase_err[a]);
+  }
+  return out;
+}
+
+// out = H diag(rot), reusing out's storage.
+void rotate_into(const CMatrix& h, const cvec& rot, CMatrix& out) {
+  out = h;
+  for (std::size_t c = 0; c < out.rows(); ++c) {
+    for (std::size_t a = 0; a < out.cols(); ++a) out(c, a) *= rot[a];
+  }
+}
+
+}  // namespace
 
 ChannelMatrixSet random_channel_set(std::size_t n_clients, std::size_t n_tx,
                                     Rng& rng, std::size_t n_subcarriers) {
@@ -174,15 +194,13 @@ SinrReport beamforming_sinr(const ChannelMatrixSet& h,
   rep.snr_no_interference.assign(nc, 0.0);
   rep.sinr_per_subcarrier.assign(nc, rvec(h.n_subcarriers(), 0.0));
 
+  const cvec rot = ap_phasors(phase_err);
+  CMatrix h_err;
+  CMatrix g;
   for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
     // Effective matrix G = H_err * W where H_err = H diag(e^{j phi}).
-    CMatrix h_err = h.at(k);
-    for (std::size_t c = 0; c < nc; ++c) {
-      for (std::size_t a = 0; a < h.n_tx(); ++a) {
-        h_err(c, a) *= phasor(phase_err[a]);
-      }
-    }
-    const CMatrix g = h_err * precoder.weights(k);
+    rotate_into(h.at(k), rot, h_err);
+    multiply_into(h_err, precoder.weights(k), g);
     for (std::size_t c = 0; c < nc; ++c) {
       const double sig = std::norm(g(c, c));
       double interf = 0.0;
@@ -241,20 +259,18 @@ double expected_inr_db(const ChannelMatrixSet& h, double phase_err_sigma,
   // streams plus the noise floor, relative to the noise floor (the
   // quantity Fig. 8 plots).
   double acc = 0.0;
+  CMatrix h_err;
+  CMatrix g;
   for (std::size_t t = 0; t < trials; ++t) {
     rvec phase(h.n_tx(), 0.0);
     for (std::size_t a = 1; a < h.n_tx(); ++a) {
       phase[a] = rng.gaussian(phase_err_sigma);
     }
+    const cvec rot = ap_phasors(phase);
     double leak = 0.0;
     for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
-      CMatrix h_err = h.at(k);
-      for (std::size_t c = 0; c < h.n_clients(); ++c) {
-        for (std::size_t a = 0; a < h.n_tx(); ++a) {
-          h_err(c, a) *= phasor(phase[a]);
-        }
-      }
-      const CMatrix g = h_err * precoder->weights(k);
+      rotate_into(h.at(k), rot, h_err);
+      multiply_into(h_err, precoder->weights(k), g);
       for (std::size_t j = 1; j < h.n_clients(); ++j) {
         leak += std::norm(g(0, j));
       }

@@ -1,8 +1,10 @@
 // Deterministic random number generation for reproducible experiments.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 #include "dsp/types.h"
 
@@ -30,9 +32,18 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Zero-mean real Gaussian with the given standard deviation.
+  /// Zero-mean real Gaussian with the given standard deviation; 0 yields
+  /// 0.0 (after the same engine draws). Throws std::invalid_argument on a
+  /// negative or non-finite stddev.
   [[nodiscard]] double gaussian(double stddev = 1.0) {
-    return std::normal_distribution<double>(0.0, stddev)(engine_);
+    if (!(stddev >= 0.0) || !std::isfinite(stddev)) {
+      throw std::invalid_argument(
+          "Rng::gaussian: stddev must be finite and >= 0");
+    }
+    // std::normal_distribution requires stddev > 0. A unit draw scaled
+    // here makes the same engine draws, and "+ 0.0" repeats the mean the
+    // library adds, so results stay bitwise equal for stddev > 0.
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + 0.0;
   }
 
   /// Circularly-symmetric complex Gaussian with E[|x|^2] = variance.

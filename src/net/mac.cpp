@@ -202,7 +202,7 @@ MacReport run_mac(bool joint, std::size_t n_aps, std::size_t n_clients,
   std::vector<std::size_t> picked;
   std::vector<std::uint8_t> taken(n_clients, 0);
   std::vector<AggFrame> frames;
-  std::vector<LinkState> states;
+  std::vector<rate::LinkQuality> quality;
   std::vector<Packet> requeue;
 
   while (t < params.duration_s) {
@@ -363,11 +363,11 @@ MacReport run_mac(bool joint, std::size_t n_aps, std::size_t n_clients,
         if (aps()[a] && fault->ap_down(a)) reachable = false;
       }
     }
-    states.clear();
+    quality.clear();
     std::size_t rate_idx = 0;
     for (std::size_t i = 0; reachable && i < frames.size(); ++i) {
-      states.push_back(link_state(frames[i].client, aps()));
-      const auto r = rate::select_rate(states.back().subcarrier_snr);
+      quality.emplace_back(link_state(frames[i].client, aps()).subcarrier_snr);
+      const auto r = quality.back().best_rate();
       if (!r) {
         reachable = false;
       } else if (i == 0 || *r < rate_idx) {
@@ -393,11 +393,13 @@ MacReport run_mac(bool joint, std::size_t n_aps, std::size_t n_clients,
     requeue.clear();
     for (std::size_t i = 0; i < frames.size(); ++i) {
       double served_bytes = 0.0;
+      // The member's 1500-byte PER, scaled to each MPDU's length below.
+      const double per_1500 =
+          reachable ? quality[i].reference_per(rate_idx) : 0.0;
       for (const Packet& p : frames[i].mpdus) {
         const bool ok =
-            reachable &&
-            rng.uniform() >= rate::frame_error_prob(
-                                 states[i].subcarrier_snr, rate_idx, p.bytes);
+            reachable && rng.uniform() >= rate::scale_frame_error_prob(
+                                              per_1500, p.bytes);
         ClientStats& cs = report.per_client[p.client];
         if (ok) {
           ++cs.delivered;

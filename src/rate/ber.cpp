@@ -34,11 +34,17 @@ double snr_for_ber(phy::Modulation m, double target_ber) {
   double lo = 1e-6, hi = 1e9;
   for (int it = 0; it < 200; ++it) {
     const double mid = std::sqrt(lo * hi);  // geometric bisection
+    const double prev_lo = lo, prev_hi = hi;
     if (ber(m, mid) > target_ber) {
       lo = mid;
     } else {
       hi = mid;
     }
+    // A step that leaves (lo, hi) unchanged is a fixed point of this
+    // deterministic map: every later step would repeat it, so stopping
+    // here returns the bits the full 200 steps would. In practice the loop
+    // ends after 58-60 steps, the last one confirming the fixed point.
+    if (lo == prev_lo && hi == prev_hi) break;
   }
   return std::sqrt(lo * hi);
 }

@@ -15,6 +15,15 @@ namespace jmb::rate {
                                       std::size_t rate_index,
                                       std::size_t psdu_bytes = 1500);
 
+/// The waterfall alone: error probability of a 1500-byte frame whose
+/// effective SNR is `margin_db` above its rate's threshold, not clamped.
+[[nodiscard]] double frame_error_prob_at_margin(double margin_db);
+
+/// Scales a 1500-byte error probability to `psdu_bytes` and clamps it to
+/// [0, 1], as frame_error_prob does.
+[[nodiscard]] double scale_frame_error_prob(double per_1500,
+                                            std::size_t psdu_bytes);
+
 /// Flat-channel convenience.
 [[nodiscard]] double frame_error_prob_flat(
     double snr_db, std::size_t rate_index, std::size_t psdu_bytes = 1500);

@@ -2,7 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <stdexcept>
 
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
@@ -215,6 +220,41 @@ TEST(Rng, GaussianMoments) {
   for (int i = 0; i < 20000; ++i) rs.add(rng.gaussian(3.0));
   EXPECT_NEAR(rs.mean(), 0.0, 0.1);
   EXPECT_NEAR(rs.stddev(), 3.0, 0.1);
+}
+
+TEST(Rng, GaussianMatchesTheLibraryDistributionBitwise) {
+  // gaussian() scales a unit draw; std::normal_distribution(0, s) must give
+  // the same bits and leave the engine in the same state.
+  Rng rng(79);
+  std::mt19937_64 engine(79);
+  for (double s : {1.0, 3.0, 0.02, 1e-300, 7e5}) {
+    for (int i = 0; i < 1000; ++i) {
+      const double want = std::normal_distribution<double>(0.0, s)(engine);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.gaussian(s)),
+                std::bit_cast<std::uint64_t>(want));
+    }
+  }
+  EXPECT_EQ(rng.next_u64(), engine());
+}
+
+TEST(Rng, ZeroStddevIsZeroAndDrawsLikeAnyOther) {
+  Rng zero(80), unit(80);
+  for (int i = 0; i < 100; ++i) {
+    const double z = zero.gaussian(0.0);
+    EXPECT_EQ(z, 0.0);
+    EXPECT_FALSE(std::signbit(z));
+    (void)unit.gaussian(1.0);
+  }
+  EXPECT_EQ(zero.next_u64(), unit.next_u64());
+  EXPECT_EQ(zero.cgaussian(0.0), cplx{});
+}
+
+TEST(Rng, GaussianRejectsNegativeOrNonFiniteStddev) {
+  Rng rng(81);
+  EXPECT_THROW((void)rng.gaussian(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.gaussian(std::nan("")), std::invalid_argument);
+  EXPECT_THROW((void)rng.gaussian(std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_THROW((void)rng.cgaussian(-2.0), std::invalid_argument);
 }
 
 TEST(Rng, ComplexGaussianVariance) {

@@ -1,12 +1,17 @@
 // Tests for BER models, effective SNR, rate selection, airtime and PER.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 
 #include "rate/airtime.h"
 #include "rate/ber.h"
 #include "rate/effective_snr.h"
 #include "rate/per.h"
+#include "dsp/rng.h"
 
 namespace jmb::rate {
 namespace {
@@ -121,6 +126,163 @@ TEST(EffSnr, SelectionMatchesThresholdEdges) {
       EXPECT_LT(*just_below, i);
     }
   }
+}
+
+// --- Reference copies of the rate code before BER-domain selection: a
+// fixed 200-step bisection and one inversion per rate. The fast paths must
+// reproduce them bit for bit. ---
+
+constexpr Modulation kAllMods[] = {Modulation::kBpsk, Modulation::kQpsk,
+                                   Modulation::kQam16, Modulation::kQam64};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+double ref_snr_for_ber(Modulation m, double target_ber) {
+  double lo = 1e-6, hi = 1e9;
+  for (int it = 0; it < 200; ++it) {
+    const double mid = std::sqrt(lo * hi);
+    if (ber(m, mid) > target_ber) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::sqrt(lo * hi);
+}
+
+double ref_effective_snr_db(Modulation m, const rvec& snr) {
+  double mean_ber = 0.0;
+  for (double s : snr) mean_ber += ber(m, std::max(s, 0.0));
+  mean_ber /= static_cast<double>(snr.size());
+  mean_ber = std::clamp(mean_ber, 1e-15, 0.499);
+  return to_db(ref_snr_for_ber(m, mean_ber));
+}
+
+// The reference per-rate code, with each constellation's effective SNR
+// (a pure function of the link state) computed once instead of per call.
+struct Reference {
+  explicit Reference(const rvec& snr) {
+    for (Modulation m : kAllMods) {
+      eff_db[static_cast<std::size_t>(m)] = ref_effective_snr_db(m, snr);
+    }
+  }
+  double eff(std::size_t rate_index) const {
+    return eff_db[static_cast<std::size_t>(
+        phy::rate_set()[rate_index].modulation)];
+  }
+  std::optional<std::size_t> select_rate() const {
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < phy::rate_set().size(); ++i) {
+      if (eff(i) >= rate_thresholds_db()[i]) best = i;
+    }
+    return best;
+  }
+  double frame_error_prob(std::size_t rate_index,
+                          std::size_t psdu_bytes) const {
+    const double margin = eff(rate_index) - rate_thresholds_db()[rate_index];
+    double per = 0.1 * std::pow(10.0, -margin);
+    per *= static_cast<double>(psdu_bytes) / 1500.0;
+    return std::clamp(per, 0.0, 1.0);
+  }
+  double eff_db[4] = {};
+};
+
+// Every entry point against the reference on one link state.
+void expect_matches_reference(const rvec& snr, std::size_t psdu_bytes) {
+  const Reference ref(snr);
+  const LinkQuality link(snr);
+  ASSERT_EQ(select_rate(snr), ref.select_rate());
+  ASSERT_EQ(link.best_rate(), ref.select_rate());
+  for (Modulation m : kAllMods) {
+    ASSERT_EQ(bits(link.effective_snr_db(m)),
+              bits(ref.eff_db[static_cast<std::size_t>(m)]));
+  }
+  for (std::size_t r = 0; r < phy::rate_set().size(); ++r) {
+    const double per = ref.frame_error_prob(r, psdu_bytes);
+    ASSERT_EQ(bits(frame_error_prob(snr, r, psdu_bytes)), bits(per)) << r;
+    ASSERT_EQ(bits(link.frame_error_prob(r, psdu_bytes)), bits(per)) << r;
+    ASSERT_EQ(bits(scale_frame_error_prob(link.reference_per(r), psdu_bytes)),
+              bits(per))
+        << r;
+  }
+}
+
+TEST(RateEquivalence, EarlyExitBisectionIsBitwiseTheFixed200Steps) {
+  for (Modulation m : kAllMods) {
+    // Log-spaced targets from 1e-15 to 0.49, plus the clamp edges.
+    for (int i = 0; i <= 2000; ++i) {
+      const double target = 1e-15 * std::pow(0.49 / 1e-15, i / 2000.0);
+      ASSERT_EQ(bits(snr_for_ber(m, target)), bits(ref_snr_for_ber(m, target)))
+          << phy::to_string(m) << " target " << target;
+    }
+    for (double target : {1e-15, 0.499, std::nextafter(0.5, 0.0)}) {
+      EXPECT_EQ(bits(snr_for_ber(m, target)), bits(ref_snr_for_ber(m, target)));
+    }
+  }
+}
+
+TEST(RateEquivalence, RandomSelectiveLinksMatchTheReference) {
+  // Seeded 52-subcarrier states, 0-35 dB mean SNR, faded by a random
+  // three-tap channel so the subcarriers spread over tens of dB.
+  Rng rng(20121);
+  rvec snr(52);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const double mean = from_db(rng.uniform(0.0, 35.0));
+    const cplx taps[3] = {rng.cgaussian(0.6), rng.cgaussian(0.3),
+                          rng.cgaussian(0.1)};
+    for (std::size_t k = 0; k < snr.size(); ++k) {
+      cplx h{};
+      for (std::size_t t = 0; t < 3; ++t) {
+        h += taps[t] * phasor(-kTwoPi * static_cast<double>(k * t) / 16.0);
+      }
+      snr[k] = mean * std::norm(h);
+    }
+    const std::size_t bytes = 40 + 40 * static_cast<std::size_t>(trial % 75);
+    expect_matches_reference(snr, bytes);
+    if (HasFatalFailure()) {
+      ADD_FAILURE() << "trial " << trial;
+      return;
+    }
+  }
+}
+
+TEST(RateEquivalence, FlatLinksAtEveryThresholdMatchTheReference) {
+  // A flat link at a threshold puts the mean BER within rounding of the
+  // threshold BER, inside the guard band, so the reference test decides.
+  const rvec& thr = rate_thresholds_db();
+  for (std::size_t i = 0; i < thr.size(); ++i) {
+    double v = from_db(thr[i]);
+    for (int step = 0; step < 4; ++step) v = std::nextafter(v, 0.0);
+    for (int step = 0; step < 9; ++step, v = std::nextafter(v, 1e300)) {
+      expect_matches_reference(rvec(52, v), 1500);
+      ASSERT_FALSE(HasFatalFailure()) << "rate " << i << " step " << step;
+    }
+  }
+}
+
+TEST(RateEquivalence, GuardBandEdgesDecideLikeTheBerComparison) {
+  // The reference decision falls as the mean BER rises (the bisection is
+  // monotone in its target), so if it already agrees with "mean BER below
+  // the threshold BER" at both edges of the 1e-9 guard band, it agrees
+  // everywhere outside the band. It does so a thousand times closer in.
+  const auto& rates = phy::rate_set();
+  const rvec& thr = rate_thresholds_db();
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const Modulation m = rates[i].modulation;
+    const double t = ber(m, from_db(thr[i]));
+    ASSERT_GT(t, 1e-15);  // inside the clamp, so clamping never decides
+    ASSERT_LT(t, 0.499);
+    for (double guard : {1e-9, 1e-12}) {
+      EXPECT_GE(to_db(ref_snr_for_ber(m, t * (1.0 - guard))), thr[i]) << i;
+      EXPECT_LT(to_db(ref_snr_for_ber(m, t * (1.0 + guard))), thr[i]) << i;
+    }
+  }
+}
+
+TEST(RateEquivalence, LinkQualityRejectsAnEmptyLink) {
+  EXPECT_THROW((void)LinkQuality(rvec{}), std::invalid_argument);
+  EXPECT_THROW((void)LinkQuality(rvec(52, 10.0)).reference_per(99),
+               std::invalid_argument);
 }
 
 TEST(Airtime, FrameAirtimeScalesWithLengthAndRate) {
