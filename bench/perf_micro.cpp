@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "bench_util.h"
+#include "chan/medium.h"
+#include "chan/oscillator.h"
 #include "core/link_model.h"
 #include "core/precoder.h"
 #include "dsp/fft.h"
@@ -435,6 +437,56 @@ void BM_LinkQuality(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinkQuality);
+
+// The propagate layer of one joint frame: 4 APs at +-20 ppm with 0.1 Hz
+// phase noise send a 6000-sample burst each over 4-tap links, and one
+// receive_all renders all 4 clients over the frame's window.
+void BM_MediumReceiveAll4x4(benchmark::State& state) {
+  constexpr std::size_t kBurst = 6000;
+  constexpr double kStart = 1e-3;
+  chan::Medium medium({}, 5);
+  std::vector<chan::NodeId> aps;
+  std::vector<chan::NodeId> clients;
+  Rng rng(6);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const chan::NodeId id = medium.add_node(
+        {.ppm = rng.uniform(-20.0, 20.0), .phase_noise_linewidth_hz = 0.1,
+         .seed = 10 + i},
+        1e-3);
+    (i < 4 ? aps : clients).push_back(id);
+  }
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      medium.set_link(aps[a], clients[c],
+                      {.n_taps = 4, .delay_s = 20e-9 * static_cast<double>(c),
+                       .seed = 100 + 4 * a + c});
+    }
+    medium.transmit(aps[a], kStart + 1e-5, rng.cgaussian_vec(kBurst, 1.0));
+  }
+  for (auto _ : state) {
+    auto bufs = medium.receive_all(clients, kStart, kBurst + 300);
+    benchmark::DoNotOptimize(bufs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * (kBurst + 300));
+}
+BENCHMARK(BM_MediumReceiveAll4x4)->Name("medium/receive_all_4x4");
+
+// One sequential phase-noise walk of 10k samples from index 30000 (the
+// anchor makes each iteration restart there for free).
+void BM_PhaseNoiseRun(benchmark::State& state) {
+  constexpr std::size_t kRun = 10000;
+  const chan::Oscillator osc({.phase_noise_linewidth_hz = 0.1, .seed = 3});
+  std::vector<double> theta(kRun);
+  const auto n0 = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    osc.phase_noise_run(n0, theta.size(), theta.data());
+    benchmark::DoNotOptimize(theta.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRun);
+}
+BENCHMARK(BM_PhaseNoiseRun)->Name("osc/phase_noise_run")->Arg(30000);
 
 // Uncontended SPSC hand-off: one push + one pop on the same thread — the
 // pure ring overhead an operator pays per item, without cache-line

@@ -82,14 +82,18 @@ void FadingChannel::evolve_to(double t_seconds) {
 }
 
 cvec FadingChannel::apply(const cvec& x) const {
-  if (x.empty()) return {};
-  cvec out(x.size() + taps_.size() - 1, cplx{});
+  cvec out;
+  apply_into(x, out);
+  return out;
+}
+
+void FadingChannel::apply_into(const cvec& x, cvec& out) const {
+  out.assign(output_len(x.size()), cplx{});
   for (std::size_t l = 0; l < taps_.size(); ++l) {
     const cplx h = taps_[l];
     if (h == cplx{}) continue;
     for (std::size_t n = 0; n < x.size(); ++n) out[n + l] += h * x[n];
   }
-  return out;
 }
 
 cvec FadingChannel::frequency_response(std::size_t nfft) const {

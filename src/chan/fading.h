@@ -51,6 +51,13 @@ class FadingChannel {
   /// n_taps - 1). Delay is NOT applied here — the Medium applies it when
   /// resampling onto the receiver's clock.
   [[nodiscard]] cvec apply(const cvec& x) const;
+  /// apply() into a caller buffer; allocation-free once `out` has the
+  /// capacity. `out` must not alias `x`.
+  void apply_into(const cvec& x, cvec& out) const;
+  /// Length of apply(x) for an x of `n` samples (0 for an empty burst).
+  [[nodiscard]] std::size_t output_len(std::size_t n) const {
+    return n == 0 ? 0 : n + taps_.size() - 1;
+  }
 
   /// Frequency response on a given FFT bin count (diagnostics, and the
   /// "true channel" oracle used by tests and the link-level model).

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chan/fading.h"
@@ -68,12 +69,25 @@ class Medium {
 
   /// Schedule a burst from `tx` whose first sample leaves the antenna at
   /// true time `start_s` (as measured on the global clock). The node's SFO
-  /// is applied when receivers resample it.
+  /// is applied when receivers resample it. Rejects the start times
+  /// receive_all() rejects.
   void transmit(NodeId tx, double start_s, cvec samples);
 
   /// What `rx` hears over n samples of ITS OWN clock, the first taken at
   /// true time ~ start_s. Includes AWGN and both oscillators' rotations.
+  /// receive_all({rx}, start_s, n)[0].
   [[nodiscard]] cvec receive(NodeId rx, double start_s, std::size_t n);
+
+  /// What each of `rxs` hears over the same window. Entry i is bitwise
+  /// what receive(rxs[i], start_s, n) returns when the calls are made one
+  /// after another in list order: every receiver's noise is drawn first,
+  /// in that order, and each receiver sums the transmissions in schedule
+  /// order. Each oscillator's phase noise is walked once for the whole
+  /// window instead of per (transmission, receiver) pair. Throws
+  /// std::invalid_argument for an unknown node, or a start time that is
+  /// not finite or lies 2^53 or more samples from 0.
+  [[nodiscard]] std::vector<cvec> receive_all(std::span<const NodeId> rxs,
+                                              double start_s, std::size_t n);
 
   /// Drop all scheduled transmissions (between experiment phases).
   void clear_transmissions();
@@ -99,6 +113,14 @@ class Medium {
     double start_s = 0.0;
     cvec samples;
   };
+
+  /// Thermal noise plus the interference blocks of one receiver.
+  [[nodiscard]] cvec draw_noise(const Node& rxn, std::size_t n);
+  /// The channel through which `rx` hears `t` inside the window, or null
+  /// (its own burst, no link, or no overlap).
+  [[nodiscard]] const FadingChannel* heard_through(const Transmission& t,
+                                                   NodeId rx, double start_s,
+                                                   std::size_t n) const;
 
   MediumParams params_;
   std::vector<Node> nodes_;

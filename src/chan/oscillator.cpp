@@ -1,5 +1,6 @@
 #include "chan/oscillator.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace jmb::chan {
@@ -40,26 +41,51 @@ double Oscillator::increment(std::uint64_t n) const {
   return sigma_per_sample_ * hashed_gaussian(params_.seed, n);
 }
 
+void Oscillator::step(std::uint64_t& idx, double& phase) const {
+  ++idx;
+  phase += increment(idx);
+  if (idx % kCheckpointStride == 0) checkpoints_[idx] = phase;
+}
+
 double Oscillator::phase_noise_at(std::uint64_t n) const {
-  if (sigma_per_sample_ == 0.0) return 0.0;
-  // Start from the better of: the nearest checkpoint at or below n, or the
-  // previous query's position (receive loops walk near-monotonically).
-  auto it = checkpoints_.upper_bound(n);
+  double phase = 0.0;
+  phase_noise_run(n, 1, &phase);
+  return phase;
+}
+
+void Oscillator::phase_noise_run(std::uint64_t n0, std::size_t count,
+                                 double* out) const {
+  if (count == 0) return;
+  if (sigma_per_sample_ == 0.0) {
+    std::fill(out, out + count, 0.0);
+    return;
+  }
+  // Start from the latest known prefix at or below n0: the nearest
+  // checkpoint, the previous run's end or the previous run's start. Each
+  // holds the exact fold theta(idx), so the walk below is bitwise the
+  // same from any of them.
+  auto it = checkpoints_.upper_bound(n0);
   --it;  // checkpoints_[0] always exists
   std::uint64_t idx = it->first;
   double phase = it->second;
-  if (last_idx_ <= n && last_idx_ > idx) {
+  if (last_idx_ <= n0 && last_idx_ > idx) {
     idx = last_idx_;
     phase = last_phase_;
   }
-  while (idx < n) {
-    ++idx;
-    phase += increment(idx);
-    if (idx % kCheckpointStride == 0) checkpoints_[idx] = phase;
+  if (anchor_idx_ <= n0 && anchor_idx_ > idx) {
+    idx = anchor_idx_;
+    phase = anchor_phase_;
   }
-  last_idx_ = n;
+  while (idx < n0) step(idx, phase);
+  anchor_idx_ = n0;
+  anchor_phase_ = phase;
+  out[0] = phase;
+  for (std::size_t i = 1; i < count; ++i) {
+    step(idx, phase);
+    out[i] = phase;
+  }
+  last_idx_ = idx;
   last_phase_ = phase;
-  return phase;
 }
 
 cplx Oscillator::rotation_at(double t_seconds) const {

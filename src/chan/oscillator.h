@@ -10,6 +10,7 @@
 // JMB's direct per-packet phase re-measurement does not.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 
@@ -49,6 +50,12 @@ class Oscillator {
   /// transmitter queried for several receivers stays self-consistent.
   [[nodiscard]] double phase_noise_at(std::uint64_t n) const;
 
+  /// theta(n0 .. n0 + count - 1) into out[0 .. count - 1] in one sequential
+  /// walk. theta is a left fold of hashed increments, so every walk —
+  /// from 0, a checkpoint, the last query or the last run's start — gives
+  /// each value bitwise equal to phase_noise_at().
+  void phase_noise_run(std::uint64_t n0, std::size_t count, double* out) const;
+
   /// Total oscillator rotation at true time t seconds (index n = t * fs):
   /// e^{j(2 pi cfo t + theta(n))}.
   [[nodiscard]] cplx rotation_at(double t_seconds) const;
@@ -79,12 +86,18 @@ class Oscillator {
   /// samples), filled in lazily; mutable cache of a deterministic process.
   static constexpr std::uint64_t kCheckpointStride = 1u << 14;
   mutable std::map<std::uint64_t, double> checkpoints_;
-  /// Memo of the most recent query: receive loops ask for near-monotone
-  /// indices, so continuing from here makes them O(1) amortized.
+  /// Memo of the most recent query's last index: successive windows move
+  /// forward, so continuing from here makes them O(1) amortized.
   mutable std::uint64_t last_idx_ = 0;
   mutable double last_phase_ = 0.0;
+  /// Start of the most recent run: several receivers render the same
+  /// window one after another, and each restarts here for free.
+  mutable std::uint64_t anchor_idx_ = 0;
+  mutable double anchor_phase_ = 0.0;
 
   [[nodiscard]] double increment(std::uint64_t n) const;
+  /// One walk step to idx + 1, recording a checkpoint on the stride.
+  void step(std::uint64_t& idx, double& phase) const;
 };
 
 }  // namespace jmb::chan

@@ -228,7 +228,11 @@ void MeasurementStage::run(StageContext& stage_ctx) {
     sys.slave_sync[a - 1].set_reference(ref, frame_t + ref_dt);
   }
 
-  // Clients measure all AP channels, referenced to the sync header.
+  // Clients measure all AP channels, referenced to the sync header. Each
+  // client renders on its own (not one receive_all): the loop stops at
+  // the first failed client, and the clients after it must not draw
+  // noise. Every receive restarts the phase-noise walks at the same
+  // window start, which the oscillators resume from for free.
   bool all_ok = true;
   core::ChannelMatrixSet h(sys.params.n_clients, sys.params.n_aps);
   for (std::size_t c = 0; c < sys.params.n_clients; ++c) {
@@ -437,11 +441,10 @@ void PropagationStage::run(StageContext& stage_ctx) {
       kRxMargin + phy::kPreambleLen +
       static_cast<std::size_t>(sys.params.turnaround_s * fs) + ctx.wave_len +
       300;
-  ctx.client_bufs.resize(sys.params.n_clients);
-  for (std::size_t c = 0; c < sys.params.n_clients; ++c) {
-    ctx.client_bufs[c] = sys.medium.receive(
-        sys.client_nodes[c], ctx.sync.header_t - kRxMargin / fs, total);
-  }
+  // Every client renders in one pass (one phase-noise walk per
+  // oscillator); the result is bitwise the per-client receive() loop.
+  ctx.client_bufs = sys.medium.receive_all(
+      sys.client_nodes, ctx.sync.header_t - kRxMargin / fs, total);
   sys.now = ctx.sync.tx_start + static_cast<double>(ctx.wave_len + 400) / fs;
 }
 

@@ -319,6 +319,32 @@ TEST(Resampler, OutOfRangeIsSilence) {
   EXPECT_EQ(interp_cubic(cvec{}, 0.0), (cplx{0.0, 0.0}));
 }
 
+TEST(Resampler, NonFinitePositionIsSilence) {
+  // A NaN used to pass the range guard and reach a signed-overflowing
+  // index conversion.
+  const cvec x(16, cplx{1.0, -1.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(interp_cubic(x, nan), (cplx{0.0, 0.0}));
+  EXPECT_EQ(interp_cubic(x, inf), (cplx{0.0, 0.0}));
+  EXPECT_EQ(interp_cubic(x, -inf), (cplx{0.0, 0.0}));
+  EXPECT_EQ(detail::interp_cubic_edge(x, nan), (cplx{0.0, 0.0}));
+}
+
+TEST(Resampler, InteriorFastPathMatchesTheClampedPathBitwise) {
+  Rng rng(23);
+  const cvec x = rng.cgaussian_vec(40, 1.0);
+  for (double pos = 0.0; pos <= 39.0; pos += 0.0625) {
+    EXPECT_EQ(interp_cubic(x, pos), detail::interp_cubic_edge(x, pos))
+        << pos;
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double pos = rng.uniform(0.0, 39.0);
+    EXPECT_EQ(interp_cubic(x, pos), detail::interp_cubic_edge(x, pos))
+        << pos;
+  }
+}
+
 // The FftPlan contract is BITWISE identity with the naive transform —
 // equality, not closeness, because the golden physics exports depend on it.
 TEST(FftPlan, ForwardBitwiseMatchesNaive) {

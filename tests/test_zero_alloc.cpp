@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "chan/fading.h"
 #include "core/precoder.h"
 #include "core/types.h"
 #include "dsp/fft_plan.h"
@@ -225,6 +226,31 @@ TEST(ZeroAlloc, SimdDispatchPathDoesNotAllocate) {
       << "SIMD dispatch path allocated " << c.allocs << " times (" << c.bytes
       << " bytes)";
   EXPECT_EQ(c.deallocs, 0u);
+}
+
+TEST(ZeroAlloc, FadingApplyIntoPresizedBufferDoesNotAllocate) {
+  // The medium reuses one convolution buffer across every (transmission,
+  // receiver) pair of a receive_all: once it has the capacity, the
+  // convolution must not touch the heap.
+  const chan::FadingChannel ch({.n_taps = 4, .seed = 3});
+  cvec x(2000);
+  for (std::size_t n = 0; n < x.size(); ++n) {
+    x[n] = cplx{static_cast<double>(n % 7) - 3.0, 0.5};
+  }
+  cvec out;
+  out.reserve(x.size() + 3);
+  const cvec expect = ch.apply(x);
+
+  obs::reset_alloc_counts();
+  obs::set_alloc_counting(true);
+  for (int it = 0; it < 16; ++it) ch.apply_into(x, out);
+  obs::set_alloc_counting(false);
+
+  const obs::AllocCounts c = obs::alloc_counts();
+  EXPECT_EQ(c.allocs, 0u) << "apply_into allocated " << c.allocs
+                          << " times (" << c.bytes << " bytes)";
+  EXPECT_EQ(c.deallocs, 0u);
+  EXPECT_EQ(out, expect);
 }
 
 TEST(ZeroAlloc, PrecoderRebuildKindDoesNotAllocate) {
