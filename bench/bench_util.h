@@ -93,6 +93,10 @@ struct BenchOptions {
   bool timing_metrics = false; ///< --metrics-timing / JMB_METRICS_TIMING
   /// Run parameters recorded in bench_result.json (n_aps, trials, ...).
   std::vector<std::pair<std::string, double>> params;
+  /// Headline results computed after the trials (pooled percentiles and
+  /// the like), exported as physics gauges after the runner's metrics so
+  /// the claim_* ctests can read them from bench_result.json.
+  std::vector<std::pair<std::string, double>> results;
 
   // Fault summary for the bench_result "faults" object; benches that
   // inject faults call set_fault_plan() + add_fault_stat(). Left untouched
@@ -124,6 +128,9 @@ struct BenchOptions {
 
   void add_param(std::string name, double value) {
     params.emplace_back(std::move(name), value);
+  }
+  void add_result(std::string name, double value) {
+    results.emplace_back(std::move(name), value);
   }
   void set_fault_plan(std::string source, std::uint64_t n_events) {
     has_faults = true;
@@ -219,13 +226,14 @@ inline int finish(const BenchOptions& opts, const engine::TrialRunner& runner) {
     info.traffic = opts.traffic;
     info.has_precoder = opts.has_precoder;
     info.precoder = opts.precoder;
+    obs::MetricRegistry reg = runner.registry();
+    for (const auto& [name, value] : opts.results) reg.gauge(name).set(value);
     const bool csv = opts.metrics_out.size() >= 4 &&
                      opts.metrics_out.compare(opts.metrics_out.size() - 4, 4,
                                               ".csv") == 0;
     const std::string text =
-        csv ? obs::registry_csv(runner.registry(), opts.timing_metrics)
-            : obs::bench_result_json(info, runner.registry(),
-                                     opts.timing_metrics);
+        csv ? obs::registry_csv(reg, opts.timing_metrics)
+            : obs::bench_result_json(info, reg, opts.timing_metrics);
     ok = obs::write_text_file(opts.metrics_out, text) && ok;
   }
   ok = write_trace_if_requested(opts) && ok;

@@ -80,5 +80,7 @@ int main(int argc, char** argv) {
   std::printf("\nmedian = %.4f rad (paper: 0.017), 95th = %.4f rad"
               " (paper: 0.05)\n",
               median(all), percentile(all, 0.95));
+  opts.add_result("claim/misalignment_median_rad", median(all));
+  opts.add_result("claim/misalignment_p95_rad", percentile(all, 0.95));
   return bench::finish(opts, runner);
 }

@@ -16,6 +16,7 @@
 //      few dB above the paper's; see EXPERIMENTS.md.
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "core/link_model.h"
@@ -140,6 +141,8 @@ int main(int argc, char** argv) {
     }
     if (inrs.empty()) continue;
     std::printf("%-6zu %-14.2f\n", n, median(inrs));
+    opts.add_result("claim/spot_inr_median_db/n" + std::to_string(n),
+                    median(inrs));
   }
   opts.add_param("max_n", kMaxN);
   opts.add_param("spot_max_n", kSpotMaxN);
