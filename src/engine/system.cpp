@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "phy/ofdm.h"
@@ -276,11 +277,17 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
     const std::size_t wave_at =
         header_pos + phy::kPreambleLen +
         static_cast<std::size_t>(state_.params.turnaround_s * fs);
-    // Workspace-backed scratch: full-buffer CFO correction plus the two
+    // Workspace-backed scratch: CFO correction of the pairs' region (from
+    // wave_at on, n0 = wave_at keeps the absolute index grid) plus the two
     // per-pair FFT windows (measure_preamble is finished with these).
     cvec& corrected = state_.ws.corrected;
     corrected.resize(buf.size());
-    phy::correct_cfo_into(buf, pm->cfo_hz, fs, 0.0, corrected);
+    if (wave_at < buf.size()) {
+      const std::size_t len = buf.size() - wave_at;
+      phy::correct_cfo_into(std::span<const cplx>(buf.data() + wave_at, len),
+                            pm->cfo_hz, fs, static_cast<double>(wave_at),
+                            std::span<cplx>(corrected.data() + wave_at, len));
+    }
 
     cplx delta_acc{};
     for (std::size_t p = 0; p < kPairs; ++p) {

@@ -147,10 +147,19 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
   return res;
 }
 
-// correct_cfo over the whole buffer into a reusable destination.
-void correct_cfo_buf(const cvec& rx, double cfo_hz, double fs, cvec& out) {
+// correct_cfo over rx[lo, min(hi, rx.size())) into the same positions of a
+// reusable destination sized like rx. n0 = lo keeps every rotation on the
+// absolute index grid, so each sample in the range is bitwise what a
+// full-buffer correction gives it. Entries outside the range are left
+// stale: each caller passes the range it reads.
+void correct_cfo_range(const cvec& rx, double cfo_hz, double fs,
+                       std::size_t lo, std::size_t hi, cvec& out) {
   out.resize(rx.size());
-  correct_cfo_into(rx, cfo_hz, fs, 0.0, out);
+  hi = std::min(hi, rx.size());
+  if (lo >= hi) return;
+  correct_cfo_into(std::span<const cplx>(rx.data() + lo, hi - lo), cfo_hz, fs,
+                   static_cast<double>(lo),
+                   std::span<cplx>(out.data() + lo, hi - lo));
 }
 
 }  // namespace
@@ -177,8 +186,11 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
     win_a.assign(rx.begin() + static_cast<std::ptrdiff_t>(stf + 8),
                  rx.begin() + static_cast<std::ptrdiff_t>(stf + 152));
     coarse = coarse_cfo_hz(win_a, cfg_.sample_rate_hz);
-    correct_cfo_buf(rx, coarse, cfg_.sample_rate_hz, corrected);
     // The first LTF symbol nominally starts at stf + 192; search around it.
+    // The search and the fine-CFO window below read [stf + 150, ltf + 128)
+    // with ltf < stf + 240.
+    correct_cfo_range(rx, coarse, cfg_.sample_rate_hz, stf + 150,
+                      stf + 240 + 2 * kNfft, corrected);
     ltf = locate_ltf(corrected, stf + 150, std::min(rx.size(), stf + 240));
   } else {
     // Low-SNR fallback: the STF autocorrelation plateau drowns near the
@@ -199,11 +211,13 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
                  rx.begin() +
                      static_cast<std::ptrdiff_t>(*raw_ltf + 2 * kNfft));
     coarse = fine_cfo_hz(win_b, cfg_.sample_rate_hz);
-    correct_cfo_buf(rx, coarse, cfg_.sample_rate_hz, corrected);
     // Refine the location post-correction; it may land on the (identical)
     // second repetition, which the symmetric +-window below tolerates.
-    ltf = locate_ltf(corrected, *raw_ltf - std::min<std::size_t>(*raw_ltf, 8),
-                     std::min(rx.size(), *raw_ltf + 8));
+    // The search and the fine-CFO window read [raw - 8, raw + 8 + 128).
+    const std::size_t lo = *raw_ltf - std::min<std::size_t>(*raw_ltf, 8);
+    correct_cfo_range(rx, coarse, cfg_.sample_rate_hz, lo,
+                      *raw_ltf + 8 + 2 * kNfft, corrected);
+    ltf = locate_ltf(corrected, lo, std::min(rx.size(), *raw_ltf + 8));
     if (!ltf) ltf = raw_ltf;
     stf = *ltf - 192;
   }
@@ -217,9 +231,9 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
   const double fine = fine_cfo_hz(freq_scratch, cfg_.sample_rate_hz);
   const double total_cfo = coarse + fine;
 
-  correct_cfo_buf(rx, total_cfo, cfg_.sample_rate_hz, corrected);
-
   const std::size_t w1 = ltf_start - std::min(ltf_start, kTimingBackoff);
+  correct_cfo_range(rx, total_cfo, cfg_.sample_rate_hz, w1, w1 + 2 * kNfft,
+                    corrected);
   fft_window_into(corrected, w1, win_a);
   fft_window_into(corrected, w1 + kNfft, win_b);
 
@@ -243,9 +257,11 @@ RxResult Receiver::receive(const cvec& rx, std::size_t search_from) const {
   }
   cvec local_corrected;
   cvec& corrected = ws_ ? ws_->corrected : local_corrected;
-  correct_cfo_buf(rx, pm->cfo_hz, cfg_.sample_rate_hz, corrected);
   // Payload symbols start right after the second LTF repetition; the FFT
-  // windows inside use the same back-off as the channel-estimate windows.
+  // windows inside use the same back-off as the channel-estimate windows,
+  // so nothing before the LTF is read.
+  correct_cfo_range(rx, pm->cfo_hz, cfg_.sample_rate_hz, pm->ltf_start,
+                    rx.size(), corrected);
   return decode_after_ltf(corrected, *pm, kTimingBackoff, ws_);
 }
 
@@ -254,7 +270,12 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
   RxResult res;
   cvec local_corrected;
   cvec& corrected = ws_ ? ws_->corrected : local_corrected;
-  correct_cfo_buf(rx, cfo_hz, cfg_.sample_rate_hz, corrected);
+  // Everything read below (the LTF search from payload_start, FFT windows
+  // backed off into the guard, the data symbols) lies at or after
+  // payload_start - kTimingBackoff.
+  correct_cfo_range(rx, cfo_hz, cfg_.sample_rate_hz,
+                    payload_start - std::min(payload_start, kTimingBackoff),
+                    rx.size(), corrected);
   cvec local_a;
   cvec& win_a = ws_ ? ws_->win_a : local_a;
   cvec local_b;

@@ -189,6 +189,32 @@ TEST(Sync, CorrectCfoInvertsRotation) {
   }
 }
 
+TEST(Sync, WindowedCfoCorrectionMatchesTheFullBufferBitwise) {
+  // The receiver corrects only the ranges it reads, with n0 = the range
+  // start: every sample must be bitwise what a full-buffer correction
+  // gives it, for any window and any integer base offset.
+  Rng rng(21);
+  const double fs = 10e6;
+  const cvec x = rng.cgaussian_vec(4000);
+  for (const double base : {0.0, -417.0, 123456.0}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const double f = rng.uniform(-60e3, 60e3);
+      cvec full(x.size());
+      correct_cfo_into(x, f, fs, base, full);
+      const auto a = static_cast<std::size_t>(rng.uniform_int(0, 3999));
+      const auto b = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<int>(a) + 1, 4000));
+      cvec win(b - a);
+      correct_cfo_into(std::span<const cplx>(x.data() + a, b - a), f, fs,
+                       base + static_cast<double>(a), win);
+      for (std::size_t i = 0; i < win.size(); ++i) {
+        ASSERT_EQ(win[i], full[a + i])
+            << "base " << base << " window [" << a << ", " << b << ") + " << i;
+      }
+    }
+  }
+}
+
 TEST(ChanEst, FlatChannelEstimatesGain) {
   const cplx g{0.8, -0.6};
   cvec rx = ltf_freq();
