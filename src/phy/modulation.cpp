@@ -103,22 +103,67 @@ cvec modulate(const BitVec& bits, Modulation m) {
   return out;
 }
 
+namespace {
+
+/// The largest constellation (64-QAM).
+constexpr std::size_t kMaxPoints = 64;
+
+/// Squared distances from y to every constellation point, in index order.
+void distances(cplx y, const cvec& pts, double* d) {
+  for (std::size_t v = 0; v < pts.size(); ++v) d[v] = std::norm(y - pts[v]);
+}
+
+/// Index of the nearest point; the lowest index wins a tie (and a NaN
+/// distance never wins).
+std::size_t nearest_index(const double* d, std::size_t n_points) {
+  std::size_t best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (std::size_t v = 0; v < n_points; ++v) {
+    if (d[v] < best_d) {
+      best_d = d[v];
+      best = v;
+    }
+  }
+  return best;
+}
+
+/// Max-log LLRs of one symbol (MSB first) from its point distances: the
+/// minimum over each bit's two subsets, taken in index order.
+void append_llrs(const double* d, std::size_t n_points, std::size_t nbits,
+                 double nv, std::vector<double>& out) {
+  for (std::size_t b = 0; b < nbits; ++b) {
+    const std::size_t bit_pos = nbits - 1 - b;  // MSB first
+    double d0 = std::numeric_limits<double>::infinity();
+    double d1 = std::numeric_limits<double>::infinity();
+    for (std::size_t v = 0; v < n_points; ++v) {
+      if ((v >> bit_pos) & 1u) {
+        d1 = std::min(d1, d[v]);
+      } else {
+        d0 = std::min(d0, d[v]);
+      }
+    }
+    out.push_back((d1 - d0) / nv);
+  }
+}
+
+void check_noise_size(std::size_t n_symbols, std::size_t n_noise) {
+  if (n_symbols != n_noise) {
+    throw std::invalid_argument("demodulate_soft: noise vector size mismatch");
+  }
+}
+
+}  // namespace
+
 void demodulate_hard_into(std::span<const cplx> symbols, Modulation m,
                           BitVec& out) {
   const std::size_t nbits = bits_per_symbol(m);
   const cvec& pts = constellation(m);
   out.clear();
   out.reserve(symbols.size() * nbits);
+  double d[kMaxPoints];
   for (const cplx& y : symbols) {
-    std::size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t v = 0; v < pts.size(); ++v) {
-      const double d = std::norm(y - pts[v]);
-      if (d < best_d) {
-        best_d = d;
-        best = v;
-      }
-    }
+    distances(y, pts, d);
+    const std::size_t best = nearest_index(d, pts.size());
     for (std::size_t b = nbits; b-- > 0;) {
       out.push_back(static_cast<std::uint8_t>((best >> b) & 1u));
     }
@@ -134,30 +179,34 @@ BitVec demodulate_hard(const cvec& symbols, Modulation m) {
 void demodulate_soft_into(std::span<const cplx> symbols, Modulation m,
                           std::span<const double> noise_var_per_symbol,
                           std::vector<double>& out) {
-  if (symbols.size() != noise_var_per_symbol.size()) {
-    throw std::invalid_argument("demodulate_soft: noise vector size mismatch");
-  }
+  check_noise_size(symbols.size(), noise_var_per_symbol.size());
   const std::size_t nbits = bits_per_symbol(m);
   const cvec& pts = constellation(m);
   out.clear();
   out.reserve(symbols.size() * nbits);
+  double d[kMaxPoints];
   for (std::size_t s = 0; s < symbols.size(); ++s) {
-    const cplx y = symbols[s];
-    const double nv = std::max(noise_var_per_symbol[s], 1e-12);
-    for (std::size_t b = 0; b < nbits; ++b) {
-      const std::size_t bit_pos = nbits - 1 - b;  // MSB first
-      double d0 = std::numeric_limits<double>::infinity();
-      double d1 = std::numeric_limits<double>::infinity();
-      for (std::size_t v = 0; v < pts.size(); ++v) {
-        const double d = std::norm(y - pts[v]);
-        if ((v >> bit_pos) & 1u) {
-          d1 = std::min(d1, d);
-        } else {
-          d0 = std::min(d0, d);
-        }
-      }
-      out.push_back((d1 - d0) / nv);
-    }
+    distances(symbols[s], pts, d);
+    append_llrs(d, pts.size(), nbits,
+                std::max(noise_var_per_symbol[s], 1e-12), out);
+  }
+}
+
+void demodulate_soft_nearest_into(std::span<const cplx> symbols, Modulation m,
+                                  std::span<const double> noise_var_per_symbol,
+                                  std::vector<double>& llr, cvec& nearest) {
+  check_noise_size(symbols.size(), noise_var_per_symbol.size());
+  const std::size_t nbits = bits_per_symbol(m);
+  const cvec& pts = constellation(m);
+  llr.clear();
+  llr.reserve(symbols.size() * nbits);
+  nearest.resize(symbols.size());
+  double d[kMaxPoints];
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    distances(symbols[s], pts, d);
+    append_llrs(d, pts.size(), nbits,
+                std::max(noise_var_per_symbol[s], 1e-12), llr);
+    nearest[s] = pts[nearest_index(d, pts.size())];
   }
 }
 

@@ -52,4 +52,11 @@ void demodulate_soft_into(std::span<const cplx> symbols, Modulation m,
                           std::span<const double> noise_var_per_symbol,
                           std::vector<double>& out);
 
+/// demodulate_soft_into() plus each symbol's nearest constellation point
+/// (bitwise modulate(demodulate_hard()), ties to the lowest index) into
+/// `nearest` (resized), from one pass of point distances per symbol.
+void demodulate_soft_nearest_into(std::span<const cplx> symbols, Modulation m,
+                                  std::span<const double> noise_var_per_symbol,
+                                  std::vector<double>& llr, cvec& nearest);
+
 }  // namespace jmb::phy

@@ -114,8 +114,6 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
   std::vector<std::vector<double>>& llr_per_symbol =
       ws ? ws->llr_per_symbol : local_llr;
   llr_per_symbol.resize(n_sym);
-  BitVec local_hard;
-  BitVec& hard = ws ? ws->hard_bits : local_hard;
   cvec local_nearest;
   cvec& nearest = ws ? ws->nearest : local_nearest;
 
@@ -124,11 +122,9 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
     const std::size_t sym_start = payload + (1 + s) * kSymbolLen;
     decode_symbol(corrected, sym_start, backoff, pm.chan, pm.noise_var, s + 1,
                   freq, data48, noise48);
-    demodulate_soft_into(data48, mcs.modulation, noise48, llr_per_symbol[s]);
-    // EVM against the nearest constellation points.
-    demodulate_hard_into(data48, mcs.modulation, hard);
-    nearest.resize(data48.size());
-    modulate_into(hard, mcs.modulation, nearest);
+    // LLRs and, for the EVM, the nearest constellation points.
+    demodulate_soft_nearest_into(data48, mcs.modulation, noise48,
+                                 llr_per_symbol[s], nearest);
     for (std::size_t i = 0; i < data48.size(); ++i) {
       evm_err += std::norm(data48[i] - nearest[i]);
       evm_sig += std::norm(nearest[i]);

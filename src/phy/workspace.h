@@ -50,8 +50,7 @@ class Workspace {
   cvec sym_freq;     ///< per-symbol FFT window
   cvec data48;       ///< equalized data subcarriers
   rvec noise48;      ///< post-equalization noise variance per carrier
-  phy::BitVec hard_bits;  ///< EVM hard decisions
-  cvec nearest;      ///< EVM re-modulated constellation points
+  cvec nearest;      ///< EVM nearest constellation points
   std::vector<std::vector<double>> llr_per_symbol;
   std::vector<double> llr_concat;  ///< deinterleaved LLRs, all symbols
   std::vector<double> llr_dei;     ///< one symbol's deinterleaved LLRs

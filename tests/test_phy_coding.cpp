@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "dsp/rng.h"
 #include "phy/bits.h"
@@ -318,6 +322,120 @@ TEST_P(ModulationRoundTrip, GrayNeighborsDifferInOneBit) {
       }
     }
   }
+}
+
+// The per-bit demapper loops the one-pass kernel replaced: every bit
+// recomputes all point distances; the EVM path hard-decides, then
+// re-modulates the bits.
+std::vector<double> per_bit_llrs(const cvec& symbols, Modulation m,
+                                 const rvec& noise) {
+  const std::size_t nbits = bits_per_symbol(m);
+  const cvec& pts = constellation(m);
+  std::vector<double> out;
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    const double nv = std::max(noise[s], 1e-12);
+    for (std::size_t b = 0; b < nbits; ++b) {
+      const std::size_t bit_pos = nbits - 1 - b;
+      double d0 = std::numeric_limits<double>::infinity();
+      double d1 = std::numeric_limits<double>::infinity();
+      for (std::size_t v = 0; v < pts.size(); ++v) {
+        const double d = std::norm(symbols[s] - pts[v]);
+        if ((v >> bit_pos) & 1u) {
+          d1 = std::min(d1, d);
+        } else {
+          d0 = std::min(d0, d);
+        }
+      }
+      out.push_back((d1 - d0) / nv);
+    }
+  }
+  return out;
+}
+
+cvec hard_then_remodulate(const cvec& symbols, Modulation m) {
+  const cvec& pts = constellation(m);
+  cvec out;
+  for (const cplx& y : symbols) {
+    std::size_t best = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (std::size_t v = 0; v < pts.size(); ++v) {
+      const double d = std::norm(y - pts[v]);
+      if (d < best_d) {
+        best_d = d;
+        best = v;
+      }
+    }
+    out.push_back(pts[best]);
+  }
+  return out;
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+TEST_P(ModulationRoundTrip, OnePassDemapperMatchesThePerBitLoopsBitwise) {
+  const Modulation m = GetParam();
+  const cvec& pts = constellation(m);
+  Rng rng(13);
+  cvec syms;
+  rvec noise;
+  // Noisy points at a range of SNRs.
+  for (int i = 0; i < 400; ++i) {
+    const cplx p = pts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(pts.size()) - 1))];
+    syms.push_back(p + rng.cgaussian(std::pow(10.0, rng.uniform(-4.0, 0.5))));
+    noise.push_back(rng.uniform(0.0, 0.2));  // includes the 1e-12 clamp
+  }
+  // Ties: the origin, exact points, midpoints of every pair of points and
+  // points on the decision boundaries' extensions.
+  syms.push_back({0.0, 0.0});
+  for (std::size_t a = 0; a < pts.size(); ++a) {
+    syms.push_back(pts[a]);
+    for (std::size_t b = a + 1; b < pts.size(); ++b) {
+      syms.push_back(0.5 * (pts[a] + pts[b]));
+    }
+    syms.push_back({pts[a].real(), 0.0});
+    syms.push_back({0.0, pts[a].imag()});
+  }
+  // Non-finite equalizer outputs (a zero channel tap).
+  const double inf = std::numeric_limits<double>::infinity();
+  syms.push_back({inf, 0.0});
+  syms.push_back({std::numeric_limits<double>::quiet_NaN(), 1.0});
+  noise.resize(syms.size(), 0.05);
+
+  const std::vector<double> want_llr = per_bit_llrs(syms, m, noise);
+  const cvec want_near = hard_then_remodulate(syms, m);
+  std::vector<double> llr;
+  cvec nearest;
+  demodulate_soft_nearest_into(syms, m, noise, llr, nearest);
+  std::vector<double> soft_only;
+  demodulate_soft_into(syms, m, noise, soft_only);
+  BitVec hard;
+  demodulate_hard_into(syms, m, hard);
+  cvec remod(syms.size());
+  modulate_into(hard, m, remod);
+  ASSERT_EQ(llr.size(), want_llr.size());
+  ASSERT_EQ(soft_only.size(), want_llr.size());
+  for (std::size_t i = 0; i < want_llr.size(); ++i) {
+    ASSERT_EQ(bits_of(llr[i]), bits_of(want_llr[i])) << "llr " << i;
+    ASSERT_EQ(bits_of(soft_only[i]), bits_of(want_llr[i])) << "llr " << i;
+  }
+  ASSERT_EQ(nearest.size(), syms.size());
+  double err = 0.0, sig = 0.0, want_err = 0.0, want_sig = 0.0;
+  for (std::size_t i = 0; i < syms.size(); ++i) {
+    ASSERT_EQ(nearest[i], want_near[i]) << "nearest " << i;
+    ASSERT_EQ(remod[i], want_near[i]) << "hard decision " << i;
+    if (!std::isfinite(std::norm(syms[i]))) continue;
+    err += std::norm(syms[i] - nearest[i]);
+    sig += std::norm(nearest[i]);
+    want_err += std::norm(syms[i] - want_near[i]);
+    want_sig += std::norm(want_near[i]);
+  }
+  EXPECT_EQ(bits_of(err), bits_of(want_err));
+  EXPECT_EQ(bits_of(sig), bits_of(want_sig));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMods, ModulationRoundTrip,

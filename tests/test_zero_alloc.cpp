@@ -69,6 +69,7 @@ TEST(ZeroAlloc, SteadyStateFrameKernelsDoNotAllocate) {
   cvec data_in(kNumDataCarriers), freq(kNfft), sym(kSymbolLen), freq2(kNfft);
   cvec data_out(kNumDataCarriers), pilots(phy::kNumPilots);
   cvec remod(kNumDataCarriers);
+  phy::BitVec hard_bits;
   rvec noise48(kNumDataCarriers, 1e-2);
   CMatrix w_scratch;
   cvec x{cplx{0.7, -0.7}, cplx{-0.7, 0.7}};
@@ -103,8 +104,10 @@ TEST(ZeroAlloc, SteadyStateFrameKernelsDoNotAllocate) {
     phy::extract_data_into(freq2, data_out);
     phy::extract_pilots_into(freq2, pilots);
     phy::demodulate_soft_into(data_out, mcs.modulation, noise48, ws.llr_concat);
-    phy::demodulate_hard_into(data_out, mcs.modulation, ws.hard_bits);
-    phy::modulate_into(ws.hard_bits, mcs.modulation, remod);
+    phy::demodulate_soft_nearest_into(data_out, mcs.modulation, noise48,
+                                      ws.llr_concat, ws.nearest);
+    phy::demodulate_hard_into(data_out, mcs.modulation, hard_bits);
+    phy::modulate_into(hard_bits, mcs.modulation, remod);
     // Decode chain: deinterleave, depuncture, Viterbi.
     phy::deinterleave_soft_into(ws.llr_concat, mcs, ws.llr_dei);
     phy::depuncture_into(ws.llr_dei, kNumDataCarriers, mcs.code_rate,
