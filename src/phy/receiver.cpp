@@ -183,9 +183,9 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
                  rx.begin() + static_cast<std::ptrdiff_t>(stf + 152));
     coarse = coarse_cfo_hz(win_a, cfg_.sample_rate_hz);
     // The first LTF symbol nominally starts at stf + 192; search around it.
-    // The search and the fine-CFO window below read [stf + 150, ltf + 128)
-    // with ltf < stf + 240.
-    correct_cfo_range(rx, coarse, cfg_.sample_rate_hz, stf + 150,
+    // The search and the fine-CFO window below read
+    // [stf + 150 - kFineCfoLead, ltf + 128) with stf + 150 <= ltf < stf + 240.
+    correct_cfo_range(rx, coarse, cfg_.sample_rate_hz, stf + 150 - kFineCfoLead,
                       stf + 240 + 2 * kNfft, corrected);
     ltf = locate_ltf(corrected, stf + 150, std::min(rx.size(), stf + 240));
   } else {
@@ -209,9 +209,11 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
     coarse = fine_cfo_hz(win_b, cfg_.sample_rate_hz);
     // Refine the location post-correction; it may land on the (identical)
     // second repetition, which the symmetric +-window below tolerates.
-    // The search and the fine-CFO window read [raw - 8, raw + 8 + 128).
+    // The search reads from raw - 8, the fine-CFO window from kFineCfoLead
+    // samples before the LTF it finds, up to raw + 8 + 128.
     const std::size_t lo = *raw_ltf - std::min<std::size_t>(*raw_ltf, 8);
-    correct_cfo_range(rx, coarse, cfg_.sample_rate_hz, lo,
+    correct_cfo_range(rx, coarse, cfg_.sample_rate_hz,
+                      lo - std::min(lo, kFineCfoLead),
                       *raw_ltf + 8 + 2 * kNfft, corrected);
     ltf = locate_ltf(corrected, lo, std::min(rx.size(), *raw_ltf + 8));
     if (!ltf) ltf = raw_ltf;
@@ -221,9 +223,16 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
   const std::size_t ltf_start = *ltf;
   if (rx.size() < ltf_start + 2 * kNfft) return std::nullopt;
 
+  // The fine-CFO window starts inside the 32-sample GI2 (a cyclic copy of
+  // the LTF, so the lag-64 correlation holds there too) and stops
+  // kTimingBackoff short of the SIGNAL symbol: the located LTF start can
+  // sit a sample or two late under multipath, and a window running into
+  // SIGNAL biases the estimate by hundreds of Hz.
+  const std::size_t fine_at = ltf_start - std::min(ltf_start, kFineCfoLead);
   freq_scratch.assign(
-      corrected.begin() + static_cast<std::ptrdiff_t>(ltf_start),
-      corrected.begin() + static_cast<std::ptrdiff_t>(ltf_start + 2 * kNfft));
+      corrected.begin() + static_cast<std::ptrdiff_t>(fine_at),
+      corrected.begin() +
+          static_cast<std::ptrdiff_t>(ltf_start + 2 * kNfft - kTimingBackoff));
   const double fine = fine_cfo_hz(freq_scratch, cfg_.sample_rate_hz);
   const double total_cfo = coarse + fine;
 

@@ -70,6 +70,9 @@ class Receiver {
   /// pre-cursor multipath; the common phase ramp is absorbed by the channel
   /// estimate because the same back-off is applied to LTF and data.
   static constexpr std::size_t kTimingBackoff = 4;
+  /// How far the fine-CFO window reaches back into the LTF's GI2 (32
+  /// samples), leaving room for the STF's multipath tail.
+  static constexpr std::size_t kFineCfoLead = 24;
 
   PhyConfig cfg_;
   Workspace* ws_ = nullptr;

@@ -75,7 +75,7 @@ double coarse_cfo_hz(const cvec& stf, double sample_rate_hz) {
 double fine_cfo_hz(const cvec& ltf64x2, double sample_rate_hz) {
   constexpr std::size_t kLag = 64;
   if (ltf64x2.size() < 2 * kLag) return 0.0;
-  return cfo_from_lag(ltf64x2, kLag, kLag, sample_rate_hz);
+  return cfo_from_lag(ltf64x2, kLag, ltf64x2.size() - kLag, sample_rate_hz);
 }
 
 std::optional<std::size_t> locate_ltf(const cvec& rx, std::size_t from,
