@@ -5,18 +5,31 @@
 #include <stdexcept>
 #include <string>
 
-#include "dsp/fft.h"
+#include "dsp/counter_rng.h"
 #include "dsp/resampler.h"
+#include "dsp/rotator.h"
 
 namespace jmb::chan {
 
+namespace {
+
+/// Mixed into a node's white-noise key to give its interference stream an
+/// independent key (domain separation).
+constexpr std::uint64_t kInterferenceDomain = 0x6A09E667F3BCC909ull;
+
+}  // namespace
+
 Medium::Medium(MediumParams p, std::uint64_t noise_seed)
-    : params_(p), noise_rng_(noise_seed) {}
+    : params_(p), noise_key_(splitmix64(noise_seed)) {}
 
 NodeId Medium::add_node(OscillatorParams osc, double noise_var) {
   osc.sample_rate_hz = params_.sample_rate_hz;
-  nodes_.push_back(Node{Oscillator(osc), noise_var, {}});
-  return nodes_.size() - 1;
+  const NodeId id = nodes_.size();
+  Node node{Oscillator(osc), noise_var, {}};
+  node.white_key = splitmix64(noise_key_ ^ id);
+  node.interference_key = splitmix64(node.white_key ^ kInterferenceDomain);
+  nodes_.push_back(std::move(node));
+  return id;
 }
 
 const Oscillator& Medium::oscillator(NodeId id) const {
@@ -32,6 +45,10 @@ void Medium::set_noise_var(NodeId id, double noise_var) {
 }
 
 void Medium::set_interference(NodeId rx, std::vector<double> psd) {
+  if (!psd.empty() && (psd.size() & (psd.size() - 1)) != 0) {
+    throw std::invalid_argument(
+        "Medium::set_interference: psd size must be a power of two");
+  }
   nodes_.at(rx).interference_psd = std::move(psd);
 }
 
@@ -96,33 +113,49 @@ cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
   return std::move(receive_all(std::span<const NodeId>(&rx, 1), start_s, n)[0]);
 }
 
-cvec Medium::draw_noise(const Node& rxn, std::size_t n) {
-  // Start with the receiver's own thermal noise.
-  cvec y(n);
-  for (cplx& v : y) v = noise_rng_.cgaussian(rxn.noise_var);
+void Medium::draw_noise(Node& rxn, cvec& y) {
+  // Thermal noise: pair k of the node's white stream is one complex
+  // sample, scaled to E|y|^2 = noise_var.
+  const std::size_t n = y.size();
+  const double s = std::sqrt(rxn.noise_var / 2.0);
+  if (!(s >= 0.0) || !std::isfinite(s)) {
+    throw std::invalid_argument("Medium: noise_var must be finite and >= 0");
+  }
+  for (std::size_t m = 0; m < n; ++m) {
+    y[m] = s * gaussian_pair(rxn.white_key, rxn.white_draws + m);
+  }
+  rxn.white_draws += n;
 
   // Inter-cell interference as shaped noise: draw each FFT bin at the
-  // installed per-subcarrier power and transform one block at a time.
-  // Bin k of variance nfft * psd[k] lands in the time domain (ifft
-  // scales by 1/N) with per-sample variance mean(psd) — a flat psd of v
-  // raises the white floor by exactly v. Receivers without a profile
-  // skip this entirely (no RNG draws), keeping legacy runs bitwise
-  // identical.
-  if (!rxn.interference_psd.empty()) {
-    const std::vector<double>& psd = rxn.interference_psd;
-    const std::size_t nfft = psd.size();
-    const auto nfft_d = static_cast<double>(nfft);
-    cvec bins(nfft);
-    for (std::size_t start = 0; start < n; start += nfft) {
-      for (std::size_t k = 0; k < nfft; ++k) {
-        bins[k] = noise_rng_.cgaussian(nfft_d * psd[k]);
-      }
-      const cvec block = ifft(bins);
-      const std::size_t len = std::min(nfft, n - start);
-      for (std::size_t i = 0; i < len; ++i) y[start + i] += block[i];
-    }
+  // installed per-subcarrier power from the node's interference stream
+  // and transform one block at a time. Bin k of variance nfft * psd[k]
+  // lands in the time domain (the inverse FFT scales by 1/N) with
+  // per-sample variance mean(psd) — a flat psd of v raises the white
+  // floor by exactly v.
+  if (rxn.interference_psd.empty()) return;
+  const std::vector<double>& psd = rxn.interference_psd;
+  const std::size_t nfft = psd.size();
+  auto plan = interference_plans_.find(nfft);
+  if (plan == interference_plans_.end()) {
+    plan = interference_plans_.emplace(nfft, FftPlan(nfft)).first;
   }
-  return y;
+  const auto nfft_d = static_cast<double>(nfft);
+  bins_.resize(nfft);
+  for (std::size_t start = 0; start < n; start += nfft) {
+    for (std::size_t k = 0; k < nfft; ++k) {
+      const double sk = std::sqrt(nfft_d * psd[k] / 2.0);
+      if (!(sk >= 0.0) || !std::isfinite(sk)) {
+        throw std::invalid_argument(
+            "Medium: interference psd must be finite and >= 0");
+      }
+      bins_[k] = sk * gaussian_pair(rxn.interference_key,
+                                    rxn.interference_draws + k);
+    }
+    rxn.interference_draws += nfft;
+    plan->second.inverse(bins_);
+    const std::size_t len = std::min(nfft, n - start);
+    for (std::size_t i = 0; i < len; ++i) y[start + i] += bins_[i];
+  }
 }
 
 const FadingChannel* Medium::heard_through(const Transmission& t, NodeId rx,
@@ -153,9 +186,13 @@ std::vector<cvec> Medium::receive_all(std::span<const NodeId> rxs,
   const double fs = params_.sample_rate_hz;
   check_start(start_s, fs, "Medium::receive");
 
-  std::vector<cvec> ys;
-  ys.reserve(rxs.size());
-  for (const NodeId rx : rxs) ys.push_back(draw_noise(nodes_[rx], n));
+  // Each receiver's noise comes from its own counter streams, so it does
+  // not depend on which other receivers share the call or their order.
+  std::vector<cvec> ys(rxs.size());
+  for (std::size_t r = 0; r < rxs.size(); ++r) {
+    ys[r].resize(n);
+    draw_noise(nodes_[rxs[r]], ys[r]);
+  }
   if (n == 0 || transmissions_.empty()) return ys;
 
   // Receiver sample m is taken at true time t_m = start_s + m / fs_rx;
@@ -224,16 +261,40 @@ std::vector<cvec> Medium::receive_all(std::span<const NodeId> rxs,
       ch->apply_into(t.samples, conv);
       const double t0 = t.start_s + ch->delay_samples() / fs;
       const auto last = static_cast<double>(conv.size() - 1);
+      // The oscillator rotation e^{j angle_m} runs as a rotator: each
+      // sample multiplies the previous phasor by e^{j (angle_m -
+      // angle_{m-1})}, and an exact phasor re-anchors it every
+      // kRotatorAnchorStride samples, after a skipped sample and whenever
+      // the increment exceeds kRotatorMaxStep.
+      cplx rot{};
+      double prev_angle = 0.0;
+      bool prev_rendered = false;
       for (std::size_t m = 0; m < n; ++m) {
         const double tm = start_s + static_cast<double>(m) / fs_rx;
         const double pos = (tm - t0) * fs_tx;
-        if (pos < 0.0 || pos > last) continue;
+        if (pos < 0.0 || pos > last) {
+          prev_rendered = false;
+          continue;
+        }
         const cplx s = interp_cubic(conv, pos);
-        if (s == cplx{}) continue;
+        if (s == cplx{}) {
+          prev_rendered = false;
+          continue;
+        }
         // Oscillator rotations evaluated at true time.
         const double det = kTwoPi * delta_cfo * tm;
         const std::uint64_t k = nominal_index(tm, fs) - i0;
-        y[m] += s * phasor(det + (theta_t[k] - theta_rx[k]));
+        const double angle = det + (theta_t[k] - theta_rx[k]);
+        const double step = angle - prev_angle;
+        if (!prev_rendered || m % kRotatorAnchorStride == 0 ||
+            !(std::abs(step) <= kRotatorMaxStep)) {
+          rot = phasor(angle);
+        } else {
+          rot *= small_angle_phasor(step);
+        }
+        prev_angle = angle;
+        prev_rendered = true;
+        y[m] += s * rot;
       }
     }
   }

@@ -21,7 +21,7 @@
 
 #include "chan/fading.h"
 #include "chan/oscillator.h"
-#include "dsp/rng.h"
+#include "dsp/fft_plan.h"
 #include "dsp/types.h"
 
 namespace jmb::chan {
@@ -53,9 +53,9 @@ class Medium {
   /// psd[k] is the extra noise power per complex sample contributed by
   /// neighboring cells' leakage on FFT bin k (noise-rise units — a flat
   /// psd of v raises the white floor by exactly v). Rendered in receive()
-  /// as shaped Gaussian noise, one psd.size()-bin block at a time. An
-  /// empty vector removes the profile and restores the exact legacy
-  /// noise path (no extra RNG draws — bitwise identical output).
+  /// as shaped Gaussian noise, one psd.size()-bin block at a time, from a
+  /// counter stream of its own (the white floor's draws do not move). The
+  /// size must be a power of two. An empty vector removes the profile.
   void set_interference(NodeId rx, std::vector<double> psd);
   [[nodiscard]] const std::vector<double>& interference(NodeId rx) const;
 
@@ -78,14 +78,16 @@ class Medium {
   /// receive_all({rx}, start_s, n)[0].
   [[nodiscard]] cvec receive(NodeId rx, double start_s, std::size_t n);
 
-  /// What each of `rxs` hears over the same window. Entry i is bitwise
-  /// what receive(rxs[i], start_s, n) returns when the calls are made one
-  /// after another in list order: every receiver's noise is drawn first,
-  /// in that order, and each receiver sums the transmissions in schedule
-  /// order. Each oscillator's phase noise is walked once for the whole
-  /// window instead of per (transmission, receiver) pair. Throws
-  /// std::invalid_argument for an unknown node, or a start time that is
-  /// not finite or lies 2^53 or more samples from 0.
+  /// What each of `rxs` hears over the same window. Every receiver's
+  /// noise is drawn from its own counter streams (keyed by the medium's
+  /// noise seed and the node id), which advance by what each receive
+  /// renders: entry i does not depend on the other entries of `rxs` or
+  /// their order, and a repeated receive of the same window draws fresh
+  /// noise. Each receiver sums the transmissions in schedule order. Each
+  /// oscillator's phase noise is walked once for the whole window instead
+  /// of per (transmission, receiver) pair. Throws std::invalid_argument
+  /// for an unknown node, or a start time that is not finite or lies 2^53
+  /// or more samples from 0.
   [[nodiscard]] std::vector<cvec> receive_all(std::span<const NodeId> rxs,
                                               double start_s, std::size_t n);
 
@@ -105,8 +107,14 @@ class Medium {
   struct Node {
     Oscillator osc;
     double noise_var = 1.0;
-    /// Empty = no inter-cell interference (legacy path, no RNG draws).
+    /// Empty = no inter-cell interference (no interference draws).
     std::vector<double> interference_psd;
+    /// Counter-stream keys (white floor, interference bins) and the number
+    /// of complex values each stream has drawn so far.
+    std::uint64_t white_key = 0;
+    std::uint64_t interference_key = 0;
+    std::uint64_t white_draws = 0;
+    std::uint64_t interference_draws = 0;
   };
   struct Transmission {
     NodeId tx = 0;
@@ -114,8 +122,13 @@ class Medium {
     cvec samples;
   };
 
-  /// Thermal noise plus the interference blocks of one receiver.
-  [[nodiscard]] cvec draw_noise(const Node& rxn, std::size_t n);
+  /// Anchor grid of the per-pair rotator in receive_all(): samples m with
+  /// m % kRotatorAnchorStride == 0 take an exact phasor.
+  static constexpr std::size_t kRotatorAnchorStride = 64;
+
+  /// Thermal noise plus the interference blocks of one receiver into y
+  /// (sized by the caller), advancing the node's draw counters.
+  void draw_noise(Node& rxn, cvec& y);
   /// The channel through which `rx` hears `t` inside the window, or null
   /// (its own burst, no link, or no overlap).
   [[nodiscard]] const FadingChannel* heard_through(const Transmission& t,
@@ -126,7 +139,11 @@ class Medium {
   std::vector<Node> nodes_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<FadingChannel>> links_;
   std::vector<Transmission> transmissions_;
-  Rng noise_rng_;
+  std::uint64_t noise_key_ = 0;  ///< splitmix64(noise_seed)
+  /// Inverse-FFT plans for interference blocks, by psd size, and the one
+  /// block buffer they transform.
+  std::map<std::size_t, FftPlan> interference_plans_;
+  cvec bins_;
 };
 
 }  // namespace jmb::chan

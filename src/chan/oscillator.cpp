@@ -3,33 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/counter_rng.h"
+
 namespace jmb::chan {
 
-namespace {
-
-// splitmix64: cheap stateless hash -> 64 uniform bits per (seed, counter).
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-// One standard Gaussian from two hashed uniforms (Box-Muller). The seed is
-// pre-mixed so that distinct seeds yield independent streams even for
-// overlapping counter ranges (nodes must not share phase noise).
-double hashed_gaussian(std::uint64_t seed, std::uint64_t n) {
-  const std::uint64_t key = splitmix64(seed);
-  const std::uint64_t a = splitmix64(key ^ splitmix64(2 * n + 1));
-  const std::uint64_t b = splitmix64(key ^ splitmix64(2 * n + 2));
-  const double u1 = (static_cast<double>(a >> 11) + 0.5) * 0x1.0p-53;
-  const double u2 = (static_cast<double>(b >> 11) + 0.5) * 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
-}
-
-}  // namespace
-
-Oscillator::Oscillator(OscillatorParams p) : params_(p) {
+Oscillator::Oscillator(OscillatorParams p)
+    : params_(p), key_(splitmix64(p.seed)) {
   // Wiener phase noise with linewidth B: Var[theta(t+dt) - theta(t)] =
   // 2 pi B dt. Per nominal sample: sigma^2 = 2 pi B / fs.
   sigma_per_sample_ = std::sqrt(kTwoPi * params_.phase_noise_linewidth_hz /
@@ -37,14 +16,25 @@ Oscillator::Oscillator(OscillatorParams p) : params_(p) {
   checkpoints_[0] = 0.0;
 }
 
-double Oscillator::increment(std::uint64_t n) const {
-  return sigma_per_sample_ * hashed_gaussian(params_.seed, n);
-}
-
-void Oscillator::step(std::uint64_t& idx, double& phase) const {
-  ++idx;
-  phase += increment(idx);
-  if (idx % kCheckpointStride == 0) checkpoints_[idx] = phase;
+void Oscillator::walk(std::uint64_t& idx, double& phase, std::uint64_t to,
+                      double* out) const {
+  // Increments 2k+1 and 2k+2 are sigma times the two Gaussians of pair k.
+  // A walk may start on either half of a pair; the sum is the same left
+  // fold whatever the start.
+  const auto take = [&](double g) {
+    ++idx;
+    phase += sigma_per_sample_ * g;
+    if (out != nullptr) *out++ = phase;
+    if (idx % kCheckpointStride == 0) checkpoints_[idx] = phase;
+  };
+  while (idx < to) {
+    const cplx g = gaussian_pair(key_, idx / 2);
+    if (idx % 2 == 0) {
+      take(g.real());
+      if (idx == to) break;
+    }
+    take(g.imag());
+  }
 }
 
 double Oscillator::phase_noise_at(std::uint64_t n) const {
@@ -76,14 +66,11 @@ void Oscillator::phase_noise_run(std::uint64_t n0, std::size_t count,
     idx = anchor_idx_;
     phase = anchor_phase_;
   }
-  while (idx < n0) step(idx, phase);
+  walk(idx, phase, n0, nullptr);
   anchor_idx_ = n0;
   anchor_phase_ = phase;
   out[0] = phase;
-  for (std::size_t i = 1; i < count; ++i) {
-    step(idx, phase);
-    out[i] = phase;
-  }
+  walk(idx, phase, n0 + count - 1, out + 1);
   last_idx_ = idx;
   last_phase_ = phase;
 }

@@ -51,7 +51,8 @@ class Oscillator {
   [[nodiscard]] double phase_noise_at(std::uint64_t n) const;
 
   /// theta(n0 .. n0 + count - 1) into out[0 .. count - 1] in one sequential
-  /// walk. theta is a left fold of hashed increments, so every walk —
+  /// walk. theta is a left fold of hashed increments (increments 2k+1 and
+  /// 2k+2 are the two Box–Muller outputs of pair k), so every walk —
   /// from 0, a checkpoint, the last query or the last run's start — gives
   /// each value bitwise equal to phase_noise_at().
   void phase_noise_run(std::uint64_t n0, std::size_t count, double* out) const;
@@ -78,6 +79,7 @@ class Oscillator {
 
  private:
   OscillatorParams params_;
+  std::uint64_t key_ = 0;          ///< splitmix64(seed): the walk's stream
   double sigma_per_sample_ = 0.0;  ///< phase-noise increment std dev
   double injected_phase_rad_ = 0.0;
   double injected_cfo_hz_ = 0.0;
@@ -95,9 +97,10 @@ class Oscillator {
   mutable std::uint64_t anchor_idx_ = 0;
   mutable double anchor_phase_ = 0.0;
 
-  [[nodiscard]] double increment(std::uint64_t n) const;
-  /// One walk step to idx + 1, recording a checkpoint on the stride.
-  void step(std::uint64_t& idx, double& phase) const;
+  /// Walk theta from (idx, phase) to index `to`, writing theta(idx + 1 ..
+  /// to) to `out` (if non-null) and recording checkpoints on the stride.
+  void walk(std::uint64_t& idx, double& phase, std::uint64_t to,
+            double* out) const;
 };
 
 }  // namespace jmb::chan

@@ -203,12 +203,28 @@ void MeasurementStage::run(StageContext& stage_ctx) {
   // interleaved block) with their CFO estimate. The AP-AP link is strong,
   // so the per-header CFO estimate already makes this extrapolation error
   // negligible, and the long-term average tightens it further.
-  const double ref_dt = static_cast<double>(sched.reference_offset()) / fs;
+  //
+  // Every live slave and every client hears the same window, so they
+  // render in one receive_all (one phase-noise walk per oscillator). Each
+  // node's noise comes from its own counter streams, so rendering all of
+  // them even when a slave or client fails below changes no other draws.
+  std::vector<chan::NodeId> listeners;
   for (std::size_t a = 1; a < sys.params.n_aps; ++a) {
     if (sys.fault && sys.fault->ap_down(a)) continue;  // crashed: no capture
-    const cvec buf =
-        sys.medium.receive(sys.ap_nodes[a], frame_t - kRxMargin / fs,
-                           kRxMargin + sched.frame_len() + 200);
+    listeners.push_back(sys.ap_nodes[a]);
+  }
+  const std::size_t n_slaves = listeners.size();
+  listeners.insert(listeners.end(), sys.client_nodes.begin(),
+                   sys.client_nodes.end());
+  const std::vector<cvec> bufs =
+      sys.medium.receive_all(listeners, frame_t - kRxMargin / fs,
+                             kRxMargin + sched.frame_len() + 200);
+
+  const double ref_dt = static_cast<double>(sched.reference_offset()) / fs;
+  std::size_t slave = 0;
+  for (std::size_t a = 1; a < sys.params.n_aps; ++a) {
+    if (sys.fault && sys.fault->ap_down(a)) continue;  // crashed: no capture
+    const cvec& buf = bufs[slave++];
     const auto pm = sys.rx.measure_preamble(buf);
     if (!pm) {
       if (sys.metrics) sys.metrics->stage(kStageMeasure).add_detect_failure();
@@ -228,17 +244,11 @@ void MeasurementStage::run(StageContext& stage_ctx) {
     sys.slave_sync[a - 1].set_reference(ref, frame_t + ref_dt);
   }
 
-  // Clients measure all AP channels, referenced to the sync header. Each
-  // client renders on its own (not one receive_all): the loop stops at
-  // the first failed client, and the clients after it must not draw
-  // noise. Every receive restarts the phase-noise walks at the same
-  // window start, which the oscillators resume from for free.
+  // Clients measure all AP channels, referenced to the sync header.
   bool all_ok = true;
   core::ChannelMatrixSet h(sys.params.n_clients, sys.params.n_aps);
   for (std::size_t c = 0; c < sys.params.n_clients; ++c) {
-    const cvec buf =
-        sys.medium.receive(sys.client_nodes[c], frame_t - kRxMargin / fs,
-                           kRxMargin + sched.frame_len() + 200);
+    const cvec& buf = bufs[n_slaves + c];
     const auto cm =
         process_measurement_frame(buf, sched, sys.params.phy, sys.ws);
     if (!cm) {

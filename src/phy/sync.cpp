@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "phy/preamble.h"
 
@@ -176,8 +177,34 @@ void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
     throw std::invalid_argument("correct_cfo: output size mismatch");
   }
   const double step = -kTwoPi * cfo_hz / sample_rate_hz;
+  if (!(std::abs(n0) < 0x1p52)) {
+    for (std::size_t n = 0; n < x.size(); ++n) {
+      out[n] = x[n] * phasor(step * (static_cast<double>(n) + n0));
+    }
+    return;
+  }
+  // Constant-step rotator on the absolute index grid j = n + floor(n0):
+  // an exact phasor at every j divisible by kCfoAnchorStride, then
+  // multiplication by e^{j step} per sample. The phasor of x[0] is
+  // advanced from the last grid point at or before it, so a sub-window
+  // with n0 + start is bitwise the same samples of a full-buffer
+  // correction (for integer n0).
+  constexpr std::int64_t kStride = kCfoAnchorStride;
+  const double base = std::floor(n0);
+  const double frac = n0 - base;
+  const auto j0 = static_cast<std::int64_t>(base);
+  const std::int64_t lag = ((j0 % kStride) + kStride) % kStride;
+  const cplx r = phasor(step);
+  cplx p = phasor(step * (static_cast<double>(j0 - lag) + frac));
+  for (std::int64_t i = 0; i < lag; ++i) p *= r;
+  std::int64_t to_anchor = kStride - lag;
   for (std::size_t n = 0; n < x.size(); ++n) {
-    out[n] = x[n] * phasor(step * (static_cast<double>(n) + n0));
+    out[n] = x[n] * p;
+    p *= r;
+    if (--to_anchor == 0) {
+      p = phasor(step * (static_cast<double>(j0 + static_cast<std::int64_t>(n) + 1) + frac));
+      to_anchor = kStride;
+    }
   }
 }
 

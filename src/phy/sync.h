@@ -31,8 +31,9 @@ struct Detection {
 /// least 96 samples of STF. Range: +-fs/32.
 [[nodiscard]] double coarse_cfo_hz(const cvec& stf, double sample_rate_hz);
 
-/// Fine CFO from the LTF's 64-sample repetition. `ltf64x2` must hold the
-/// two repeated 64-sample LTF symbols (no guard). Range: +-fs/128.
+/// Fine CFO from the LTF's 64-sample repetition, correlating every lag-64
+/// pair of `ltf64x2`: at least 128 samples of a 64-periodic stretch (the
+/// two LTF symbols, optionally with part of their guard). Range: +-fs/128.
 [[nodiscard]] double fine_cfo_hz(const cvec& ltf64x2, double sample_rate_hz);
 
 /// Locate the start of the first 64-sample LTF symbol by cross-correlating
@@ -54,13 +55,20 @@ struct Detection {
 /// used to disambiguate the two identical LTF repetitions.
 [[nodiscard]] double ltf_metric_at(const cvec& rx, std::size_t pos);
 
+/// Anchor grid of correct_cfo_into()'s rotator, in absolute samples.
+inline constexpr std::size_t kCfoAnchorStride = 64;
+
 /// Remove a frequency offset: y[n] = x[n] * e^{-j 2 pi f (n + n0) / fs}.
 [[nodiscard]] cvec correct_cfo(const cvec& x, double cfo_hz,
                                double sample_rate_hz, double n0 = 0.0);
 
 /// correct_cfo() into a caller-owned span of exactly x.size() entries.
 /// `out` may alias `x` (the transform is elementwise). The allocating API
-/// wraps this kernel, so results are bitwise identical.
+/// wraps this kernel, so results are bitwise identical. The rotation runs
+/// as a rotator anchored by an exact phasor at every absolute index n + n0
+/// divisible by kCfoAnchorStride (within ~1e-13 of the exact phasor), so
+/// for integer n0 a window x[a, b) corrected with n0 + a is bitwise the
+/// same samples of the full-buffer correction.
 void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
                       double sample_rate_hz, double n0, std::span<cplx> out);
 

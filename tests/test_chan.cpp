@@ -211,11 +211,13 @@ TEST(Topology, PropagationDelayScale) {
 
 // ---------------------------------------------------------------------------
 // Pinned sample-level physics. No checked-in baseline covers the medium, so
-// the tests below compare it bitwise with an independent copy of the
-// per-sample renderer it started from: per (transmission, receiver) pair a
-// fresh convolution, then for every receiver sample a cubic interpolation,
-// a CFO rotation and both oscillators' phase noise theta(n), looked up one
-// index at a time from a plain left fold of the hashed increments.
+// the tests below compare it bitwise with an independent per-sample renderer
+// of the specified rules: per (transmission, receiver) pair a fresh
+// convolution, then for every receiver sample a cubic interpolation and the
+// oscillator rotation (CFO plus both oscillators' phase noise theta(n),
+// looked up one index at a time from a plain left fold of the hashed
+// increments) applied through the anchored small-angle rotator; receiver
+// noise from per-node counter streams.
 
 std::uint64_t oracle_splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -224,28 +226,45 @@ std::uint64_t oracle_splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-double oracle_hashed_gaussian(std::uint64_t seed, std::uint64_t n) {
-  const std::uint64_t key = oracle_splitmix64(seed);
-  const std::uint64_t a = oracle_splitmix64(key ^ oracle_splitmix64(2 * n + 1));
-  const std::uint64_t b = oracle_splitmix64(key ^ oracle_splitmix64(2 * n + 2));
+/// Box-Muller pair k of stream `key`: uniforms from counters 2k+1, 2k+2.
+cplx oracle_gaussian_pair(std::uint64_t key, std::uint64_t k) {
+  const std::uint64_t a = oracle_splitmix64(key ^ oracle_splitmix64(2 * k + 1));
+  const std::uint64_t b = oracle_splitmix64(key ^ oracle_splitmix64(2 * k + 2));
   const double u1 = (static_cast<double>(a >> 11) + 0.5) * 0x1.0p-53;
   const double u2 = (static_cast<double>(b >> 11) + 0.5) * 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  return {r * std::cos(kTwoPi * u2), r * std::sin(kTwoPi * u2)};
 }
 
-/// theta(0..last) as the left fold theta(n) = theta(n-1) + sigma * g(n).
+/// theta(0..last) as the left fold theta(n) = theta(n-1) + sigma * g(n),
+/// where g(2k+1) and g(2k+2) are the two Gaussians of pair k.
 std::vector<double> oracle_theta(const OscillatorParams& p,
                                  std::uint64_t last) {
   std::vector<double> theta(last + 1, 0.0);
   const double sigma =
       std::sqrt(kTwoPi * p.phase_noise_linewidth_hz / p.sample_rate_hz);
   if (sigma == 0.0) return theta;
+  const std::uint64_t key = oracle_splitmix64(p.seed);
   double phase = 0.0;
   for (std::uint64_t n = 1; n <= last; ++n) {
-    phase += sigma * oracle_hashed_gaussian(p.seed, n);
+    const cplx g = oracle_gaussian_pair(key, (n - 1) / 2);
+    phase += sigma * (n % 2 == 1 ? g.real() : g.imag());
     theta[n] = phase;
   }
   return theta;
+}
+
+/// e^{jd} by the specified degree-8/9 Taylor polynomials.
+cplx oracle_small_phasor(double d) {
+  const double d2 = d * d;
+  const double c =
+      1.0 + d2 * (-1.0 / 2.0 +
+                  d2 * (1.0 / 24.0 + d2 * (-1.0 / 720.0 + d2 * (1.0 / 40320.0))));
+  const double s =
+      d * (1.0 + d2 * (-1.0 / 6.0 +
+                       d2 * (1.0 / 120.0 +
+                             d2 * (-1.0 / 5040.0 + d2 * (1.0 / 362880.0)))));
+  return {c, s};
 }
 
 cplx oracle_interp_cubic(const cvec& x, double pos) {
@@ -287,12 +306,35 @@ struct OracleBurst {
   cvec samples;
 };
 
-/// What each of `rxs` hears, rendered one receiver after the other with
-/// `noise` drawn in that order (white floor, then the interference blocks).
-std::vector<cvec> oracle_receive(const Medium& m, Rng& noise,
+/// The specified receiver-noise streams: node `id` of a medium seeded with
+/// `noise_seed` draws white pair k from key splitmix(splitmix(seed) ^ id)
+/// and interference bins from that key mixed with a domain constant; each
+/// stream's counter advances by what it draws.
+struct OracleNoise {
+  explicit OracleNoise(std::uint64_t noise_seed)
+      : seed_key(oracle_splitmix64(noise_seed)) {}
+  std::uint64_t seed_key;
+  std::vector<std::uint64_t> white_draws = std::vector<std::uint64_t>(64);
+  std::vector<std::uint64_t> interference_draws =
+      std::vector<std::uint64_t>(64);
+
+  [[nodiscard]] std::uint64_t white_key(NodeId id) const {
+    return oracle_splitmix64(seed_key ^ id);
+  }
+  [[nodiscard]] std::uint64_t interference_key(NodeId id) const {
+    return oracle_splitmix64(white_key(id) ^ 0x6A09E667F3BCC909ull);
+  }
+};
+
+/// What each of `rxs` hears. With `exact_rotation` every sample takes an
+/// exact phasor instead of the rotator; `signal_mag` (if given) receives
+/// per receiver and sample the sum of |s| over the transmissions heard.
+std::vector<cvec> oracle_receive(const Medium& m, OracleNoise& noise,
                                  const std::vector<OracleBurst>& bursts,
                                  const std::vector<NodeId>& rxs,
-                                 double start_s, std::size_t n) {
+                                 double start_s, std::size_t n,
+                                 bool exact_rotation = false,
+                                 std::vector<rvec>* signal_mag = nullptr) {
   const double fs = m.sample_rate_hz();
   std::vector<std::vector<double>> theta(m.n_nodes());
   const auto theta_of = [&](NodeId id, std::uint64_t idx) {
@@ -306,21 +348,30 @@ std::vector<cvec> oracle_receive(const Medium& m, Rng& noise,
     const Oscillator& rxo = m.oscillator(rx);
     const double fs_rx = rxo.sample_rate_hz();
     cvec y(n);
-    for (cplx& v : y) v = noise.cgaussian(m.noise_var(rx));
+    const double sn = std::sqrt(m.noise_var(rx) / 2.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      y[k] = sn * oracle_gaussian_pair(noise.white_key(rx),
+                                       noise.white_draws[rx] + k);
+    }
+    noise.white_draws[rx] += n;
     const std::vector<double>& psd = m.interference(rx);
     if (!psd.empty()) {
       const std::size_t nfft = psd.size();
       cvec bins(nfft);
       for (std::size_t start = 0; start < n; start += nfft) {
         for (std::size_t k = 0; k < nfft; ++k) {
-          bins[k] = noise.cgaussian(static_cast<double>(nfft) * psd[k]);
+          bins[k] = std::sqrt(static_cast<double>(nfft) * psd[k] / 2.0) *
+                    oracle_gaussian_pair(noise.interference_key(rx),
+                                         noise.interference_draws[rx] + k);
         }
+        noise.interference_draws[rx] += nfft;
         const cvec block = ifft(bins);
         for (std::size_t i = 0; i < std::min(nfft, n - start); ++i) {
           y[start + i] += block[i];
         }
       }
     }
+    rvec mag(n, 0.0);
     for (const OracleBurst& t : bursts) {
       if (t.tx == rx) continue;
       const FadingChannel* ch = m.link(t.tx, rx);
@@ -330,18 +381,38 @@ std::vector<cvec> oracle_receive(const Medium& m, Rng& noise,
       const double delta_cfo = txo.cfo_hz() - rxo.cfo_hz();
       const cvec conv = oracle_convolve(ch->taps(), t.samples);
       const double t0 = t.start_s + ch->delay_samples() / fs;
+      cplx rot{};
+      double prev = 0.0;
+      bool prev_rendered = false;
       for (std::size_t k = 0; k < n; ++k) {
         const double tm = start_s + static_cast<double>(k) / fs_rx;
         const double pos = (tm - t0) * fs_tx;
-        if (pos < 0.0 || pos > static_cast<double>(conv.size() - 1)) continue;
+        if (pos < 0.0 || pos > static_cast<double>(conv.size() - 1)) {
+          prev_rendered = false;
+          continue;
+        }
         const cplx s = oracle_interp_cubic(conv, pos);
-        if (s == cplx{}) continue;
+        if (s == cplx{}) {
+          prev_rendered = false;
+          continue;
+        }
         const double det = kTwoPi * delta_cfo * tm;
         const auto idx = static_cast<std::uint64_t>(std::max(0.0, tm * fs));
-        const double pn = theta_of(t.tx, idx) - theta_of(rx, idx);
-        y[k] += s * phasor(det + pn);
+        const double angle = det + (theta_of(t.tx, idx) - theta_of(rx, idx));
+        const double d = angle - prev;
+        if (exact_rotation || !prev_rendered || k % 64 == 0 ||
+            !(std::abs(d) <= 0.125)) {
+          rot = phasor(angle);
+        } else {
+          rot *= oracle_small_phasor(d);
+        }
+        prev = angle;
+        prev_rendered = true;
+        y[k] += s * rot;
+        mag[k] += std::abs(s);
       }
     }
+    if (signal_mag != nullptr) signal_mag->push_back(std::move(mag));
     out.push_back(std::move(y));
   }
   return out;
@@ -424,7 +495,7 @@ struct PinnedScene {
 
 TEST(PinnedMedium, ReceiveMatchesThePerSampleOracleBitwise) {
   PinnedScene scene(99);
-  Rng noise(99);
+  OracleNoise noise(99);
   const auto expect = oracle_receive(scene.medium, noise, scene.bursts,
                                      scene.rxs, scene.window_start(),
                                      PinnedScene::kWindow);
@@ -464,29 +535,141 @@ TEST(PinnedMedium, ReceiveMatchesThePerSampleOracleBitwise) {
   }
 }
 
-TEST(PinnedMedium, ReceiveAllDrawsNoiseLikeSequentialReceives) {
-  PinnedScene joint(1234);
-  PinnedScene sequential(1234);
-  const auto all = joint.medium.receive_all(
-      joint.clients, joint.window_start(), PinnedScene::kWindow);
-  ASSERT_EQ(all.size(), 4u);
-  for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(all[c],
-              sequential.medium.receive(sequential.clients[c],
-                                        sequential.window_start(),
-                                        PinnedScene::kWindow))
-        << "client " << c;
+TEST(PinnedMedium, RotatorStaysWithin1e12OfExactPhasors) {
+  // The same scene rendered with an exact phasor per sample: the rotator's
+  // re-anchored small-angle steps stay within 1e-12 of it, relative to the
+  // summed magnitude of the transmissions each sample hears.
+  PinnedScene scene(5);
+  OracleNoise noise(5);
+  std::vector<rvec> mag;
+  const auto exact =
+      oracle_receive(scene.medium, noise, scene.bursts, scene.rxs,
+                     scene.window_start(), PinnedScene::kWindow, true, &mag);
+  const auto got = scene.medium.receive_all(scene.rxs, scene.window_start(),
+                                            PinnedScene::kWindow);
+  ASSERT_EQ(got.size(), exact.size());
+  std::size_t rendered = 0;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    for (std::size_t k = 0; k < PinnedScene::kWindow; ++k) {
+      ASSERT_LE(std::abs(got[r][k] - exact[r][k]), 1e-12 * mag[r][k])
+          << "receiver " << r << " sample " << k;
+      if (mag[r][k] > 0.0) ++rendered;
+    }
   }
-  // Both media have drawn the same noise, so the next call agrees too.
-  EXPECT_EQ(joint.medium.receive(joint.clients[1], 0.0, 256),
-            sequential.medium.receive(sequential.clients[1], 0.0, 256));
+  EXPECT_GT(rendered, 10000u);
+}
+
+TEST(PinnedMedium, ReceiveAllIsOrderFree) {
+  // A receiver's noise comes from its own counter streams: the list it is
+  // rendered in, and that list's order, change nothing.
+  PinnedScene joint(1234);
+  PinnedScene permuted(1234);
+  PinnedScene single(1234);
+  const auto all = joint.medium.receive_all(joint.rxs, joint.window_start(),
+                                            PinnedScene::kWindow);
+  const std::vector<std::size_t> order{3, 0, 4, 2, 1};
+  std::vector<NodeId> shuffled;
+  for (const std::size_t i : order) shuffled.push_back(permuted.rxs[i]);
+  const auto perm = permuted.medium.receive_all(
+      shuffled, permuted.window_start(), PinnedScene::kWindow);
+  ASSERT_EQ(all.size(), 5u);
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    EXPECT_EQ(perm[j], all[order[j]]) << "receiver " << order[j];
+  }
+  // One at a time, in yet another order.
+  for (const std::size_t i : {4, 2, 0, 3, 1}) {
+    EXPECT_EQ(single.medium.receive(single.rxs[i], single.window_start(),
+                                    PinnedScene::kWindow),
+              all[i])
+        << "receiver " << i << " alone";
+  }
+  // A second receive of the same window draws fresh noise: the signal
+  // part repeats, so the difference is noise at twice the floor.
+  const auto again = joint.medium.receive_all(
+      joint.rxs, joint.window_start(), PinnedScene::kWindow);
+  for (std::size_t r = 0; r < all.size(); ++r) {
+    cvec diff(all[r].size());
+    for (std::size_t k = 0; k < diff.size(); ++k) {
+      diff[k] = again[r][k] - all[r][k];
+    }
+    const rvec& psd = joint.medium.interference(joint.rxs[r]);
+    const double floor = joint.medium.noise_var(joint.rxs[r]) +
+                         (psd.empty() ? 0.0 : mean(psd));
+    EXPECT_NEAR(mean_power(diff), 2.0 * floor, 0.3 * floor)
+        << "receiver " << r;
+  }
   // Empty lists and empty windows draw nothing.
   EXPECT_TRUE(joint.medium.receive_all({}, 0.0, 64).empty());
   const auto none = joint.medium.receive_all(joint.clients, 0.0, 0);
   ASSERT_EQ(none.size(), 4u);
   for (const cvec& y : none) EXPECT_TRUE(y.empty());
+  (void)permuted.medium.receive_all(permuted.rxs, permuted.window_start(),
+                                    PinnedScene::kWindow);
   EXPECT_EQ(joint.medium.receive(joint.clients[0], 0.0, 64),
-            sequential.medium.receive(sequential.clients[0], 0.0, 64));
+            permuted.medium.receive(permuted.clients[0], 0.0, 64));
+}
+
+TEST(Medium, ReceiverNoiseStatistics) {
+  // 1e5 samples per node from three nodes with no transmissions. With N
+  // samples, a mean has standard error sqrt(var / N) and a correlation
+  // coefficient 1 / sqrt(N); every check below allows 5 standard errors.
+  constexpr std::size_t kN = 100000;
+  const double floors[3] = {1e-3, 2.5e-3, 4e-2};
+  Medium medium({}, 77);
+  std::vector<NodeId> ids;
+  for (const double v : floors) {
+    ids.push_back(medium.add_node({.phase_noise_linewidth_hz = 0.0}, v));
+  }
+  const auto ys = medium.receive_all(ids, 0.0, kN);
+  const double n = static_cast<double>(kN);
+  const double rho_tol = 5.0 / std::sqrt(n);
+  const auto corr = [&](const cvec& a, const cvec& b, std::size_t lag) {
+    cplx acc{};
+    double pa = 0.0, pb = 0.0;
+    for (std::size_t k = 0; k + lag < kN; ++k) {
+      acc += a[k + lag] * std::conj(b[k]);
+      pa += std::norm(a[k + lag]);
+      pb += std::norm(b[k]);
+    }
+    return std::abs(acc) / std::sqrt(pa * pb);
+  };
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const cvec& y = ys[i];
+    const double half = floors[i] / 2.0;
+    double re = 0.0, im = 0.0, re2 = 0.0, im2 = 0.0, reim = 0.0;
+    for (const cplx& v : y) {
+      re += v.real();
+      im += v.imag();
+      re2 += v.real() * v.real();
+      im2 += v.imag() * v.imag();
+      reim += v.real() * v.imag();
+    }
+    const double mean_tol = 5.0 * std::sqrt(half / n);
+    EXPECT_NEAR(re / n, 0.0, mean_tol) << "node " << i;
+    EXPECT_NEAR(im / n, 0.0, mean_tol) << "node " << i;
+    // Var of a Gaussian's sample variance: 2 sigma^4 / N.
+    const double var_tol = 5.0 * half * std::sqrt(2.0 / n);
+    EXPECT_NEAR(re2 / n, half, var_tol) << "node " << i;
+    EXPECT_NEAR(im2 / n, half, var_tol) << "node " << i;
+    // Circular: I and Q uncorrelated.
+    EXPECT_NEAR(reim / n / half, 0.0, rho_tol) << "node " << i;
+    EXPECT_LT(corr(y, y, 1), rho_tol) << "lag-1, node " << i;
+    for (std::size_t j = i + 1; j < ids.size(); ++j) {
+      EXPECT_LT(corr(y, ys[j], 0), rho_tol) << "nodes " << i << ", " << j;
+    }
+  }
+  // The interference stream is independent of the white floor: a flat
+  // profile of v adds exactly v of uncorrelated power.
+  Medium shaped({}, 77);
+  const NodeId a = shaped.add_node({.phase_noise_linewidth_hz = 0.0}, 1e-3);
+  shaped.set_interference(a, std::vector<double>(64, 3e-3));
+  const cvec y = shaped.receive(a, 0.0, kN);
+  cvec intf(kN);
+  for (std::size_t k = 0; k < kN; ++k) intf[k] = y[k] - ys[0][k];
+  EXPECT_NEAR(mean_power(intf), 3e-3, 5.0 * 3e-3 / std::sqrt(n));
+  EXPECT_LT(corr(intf, ys[0], 0), rho_tol);
+  EXPECT_THROW(shaped.set_interference(a, std::vector<double>(48, 1e-3)),
+               std::invalid_argument);
 }
 
 TEST(PinnedMedium, PhaseNoiseRunMatchesPerIndexLookups) {
