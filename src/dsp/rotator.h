@@ -17,14 +17,13 @@ inline constexpr double kRotatorMaxStep = 0.125;
 /// e^{jd} for |d| <= kRotatorMaxStep by Taylor polynomials in d^2
 /// (Horner order, as written; the pinned medium tests depend on it).
 [[nodiscard]] inline cplx small_angle_phasor(double d) {
+  constexpr double kC2 = -1.0 / 2.0, kC4 = 1.0 / 24.0, kC6 = -1.0 / 720.0,
+                   kC8 = 1.0 / 40320.0;
+  constexpr double kS3 = -1.0 / 6.0, kS5 = 1.0 / 120.0, kS7 = -1.0 / 5040.0,
+                   kS9 = 1.0 / 362880.0;
   const double d2 = d * d;
-  const double c =
-      1.0 + d2 * (-1.0 / 2.0 +
-                  d2 * (1.0 / 24.0 + d2 * (-1.0 / 720.0 + d2 * (1.0 / 40320.0))));
-  const double s =
-      d * (1.0 + d2 * (-1.0 / 6.0 +
-                       d2 * (1.0 / 120.0 +
-                             d2 * (-1.0 / 5040.0 + d2 * (1.0 / 362880.0)))));
+  const double c = 1.0 + d2 * (kC2 + d2 * (kC4 + d2 * (kC6 + d2 * kC8)));
+  const double s = d * (1.0 + d2 * (kS3 + d2 * (kS5 + d2 * (kS7 + d2 * kS9))));
   return {c, s};
 }
 

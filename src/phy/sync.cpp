@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "phy/preamble.h"
 
@@ -176,13 +177,10 @@ void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
   if (out.size() != x.size()) {
     throw std::invalid_argument("correct_cfo: output size mismatch");
   }
-  const double step = -kTwoPi * cfo_hz / sample_rate_hz;
   if (!(std::abs(n0) < 0x1p52)) {
-    for (std::size_t n = 0; n < x.size(); ++n) {
-      out[n] = x[n] * phasor(step * (static_cast<double>(n) + n0));
-    }
-    return;
+    throw std::invalid_argument("correct_cfo: n0 must be finite, |n0| < 2^52");
   }
+  const double step = -kTwoPi * cfo_hz / sample_rate_hz;
   // Constant-step rotator on the absolute index grid j = n + floor(n0):
   // an exact phasor at every j divisible by kCfoAnchorStride, then
   // multiplication by e^{j step} per sample. The phasor of x[0] is
@@ -202,7 +200,8 @@ void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
     out[n] = x[n] * p;
     p *= r;
     if (--to_anchor == 0) {
-      p = phasor(step * (static_cast<double>(j0 + static_cast<std::int64_t>(n) + 1) + frac));
+      const std::int64_t j = j0 + static_cast<std::int64_t>(n) + 1;
+      p = phasor(step * (static_cast<double>(j) + frac));
       to_anchor = kStride;
     }
   }

@@ -68,7 +68,8 @@ inline constexpr std::size_t kCfoAnchorStride = 64;
 /// as a rotator anchored by an exact phasor at every absolute index n + n0
 /// divisible by kCfoAnchorStride (within ~1e-13 of the exact phasor), so
 /// for integer n0 a window x[a, b) corrected with n0 + a is bitwise the
-/// same samples of the full-buffer correction.
+/// same samples of the full-buffer correction. Throws
+/// std::invalid_argument unless n0 is finite with |n0| < 2^52.
 void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
                       double sample_rate_hz, double n0, std::span<cplx> out);
 

@@ -256,14 +256,13 @@ std::vector<double> oracle_theta(const OscillatorParams& p,
 
 /// e^{jd} by the specified degree-8/9 Taylor polynomials.
 cplx oracle_small_phasor(double d) {
+  constexpr double kC2 = -1.0 / 2.0, kC4 = 1.0 / 24.0, kC6 = -1.0 / 720.0,
+                   kC8 = 1.0 / 40320.0;
+  constexpr double kS3 = -1.0 / 6.0, kS5 = 1.0 / 120.0, kS7 = -1.0 / 5040.0,
+                   kS9 = 1.0 / 362880.0;
   const double d2 = d * d;
-  const double c =
-      1.0 + d2 * (-1.0 / 2.0 +
-                  d2 * (1.0 / 24.0 + d2 * (-1.0 / 720.0 + d2 * (1.0 / 40320.0))));
-  const double s =
-      d * (1.0 + d2 * (-1.0 / 6.0 +
-                       d2 * (1.0 / 120.0 +
-                             d2 * (-1.0 / 5040.0 + d2 * (1.0 / 362880.0)))));
+  const double c = 1.0 + d2 * (kC2 + d2 * (kC4 + d2 * (kC6 + d2 * kC8)));
+  const double s = d * (1.0 + d2 * (kS3 + d2 * (kS5 + d2 * (kS7 + d2 * kS9))));
   return {c, s};
 }
 
@@ -538,8 +537,11 @@ TEST(PinnedMedium, ReceiveMatchesThePerSampleOracleBitwise) {
 TEST(PinnedMedium, RotatorStaysWithin1e12OfExactPhasors) {
   // The same scene rendered with an exact phasor per sample: the rotator's
   // re-anchored small-angle steps stay within 1e-12 of it, relative to the
-  // summed magnitude of the transmissions each sample hears.
+  // summed magnitude of the transmissions each sample hears. AP 2 gets a
+  // 2 MHz CFO step (about 1.26 rad per sample), beyond the small-angle
+  // bound, so its pairs must re-anchor on every sample.
   PinnedScene scene(5);
+  scene.medium.oscillator_mutable(scene.aps[2]).inject_cfo_step(2e6);
   OracleNoise noise(5);
   std::vector<rvec> mag;
   const auto exact =

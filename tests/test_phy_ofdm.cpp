@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dsp/fft.h"
 #include "dsp/rng.h"
@@ -211,8 +212,26 @@ TEST(Sync, WindowedCfoCorrectionMatchesTheFullBufferBitwise) {
         ASSERT_EQ(win[i], full[a + i])
             << "base " << base << " window [" << a << ", " << b << ") + " << i;
       }
+      // The rotator stays within 1e-12 of the exact rotation.
+      for (std::size_t n = 0; n < x.size(); n += 7) {
+        const double phi =
+            -kTwoPi * f / fs * (static_cast<double>(n) + base);
+        ASSERT_LE(std::abs(full[n] - x[n] * phasor(phi)),
+                  1e-12 * std::abs(x[n]))
+            << "base " << base << " sample " << n;
+      }
     }
   }
+}
+
+TEST(Sync, CfoCorrectionRejectsANonFiniteOffset) {
+  const cvec x(8, cplx{1.0, 0.0});
+  cvec out(x.size());
+  EXPECT_THROW(correct_cfo_into(x, 1e3, 10e6,
+                                std::numeric_limits<double>::quiet_NaN(), out),
+               std::invalid_argument);
+  EXPECT_THROW(correct_cfo_into(x, 1e3, 10e6, 0x1p60, out),
+               std::invalid_argument);
 }
 
 TEST(ChanEst, FlatChannelEstimatesGain) {
