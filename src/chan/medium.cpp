@@ -17,6 +17,17 @@ namespace {
 /// independent key (domain separation).
 constexpr std::uint64_t kInterferenceDomain = 0x6A09E667F3BCC909ull;
 
+/// Standard deviation of each component of a complex Gaussian of variance
+/// `var`; rejects a variance that is not finite and >= 0.
+double component_scale(double var, const char* what) {
+  const double s = std::sqrt(var / 2.0);
+  if (!(s >= 0.0) || !std::isfinite(s)) {
+    throw std::invalid_argument(std::string("Medium: ") + what +
+                                " must be finite and >= 0");
+  }
+  return s;
+}
+
 }  // namespace
 
 Medium::Medium(MediumParams p, std::uint64_t noise_seed)
@@ -25,7 +36,8 @@ Medium::Medium(MediumParams p, std::uint64_t noise_seed)
 NodeId Medium::add_node(OscillatorParams osc, double noise_var) {
   osc.sample_rate_hz = params_.sample_rate_hz;
   const NodeId id = nodes_.size();
-  Node node{Oscillator(osc), noise_var, {}};
+  Node node{Oscillator(osc), noise_var, {},
+            component_scale(noise_var, "noise_var"), {}};
   node.white_key = splitmix64(noise_key_ ^ id);
   node.interference_key = splitmix64(node.white_key ^ kInterferenceDomain);
   nodes_.push_back(std::move(node));
@@ -41,7 +53,9 @@ Oscillator& Medium::oscillator_mutable(NodeId id) { return nodes_.at(id).osc; }
 double Medium::noise_var(NodeId id) const { return nodes_.at(id).noise_var; }
 
 void Medium::set_noise_var(NodeId id, double noise_var) {
-  nodes_.at(id).noise_var = noise_var;
+  Node& node = nodes_.at(id);
+  node.white_scale = component_scale(noise_var, "noise_var");
+  node.noise_var = noise_var;
 }
 
 void Medium::set_interference(NodeId rx, std::vector<double> psd) {
@@ -49,7 +63,19 @@ void Medium::set_interference(NodeId rx, std::vector<double> psd) {
     throw std::invalid_argument(
         "Medium::set_interference: psd size must be a power of two");
   }
-  nodes_.at(rx).interference_psd = std::move(psd);
+  Node& node = nodes_.at(rx);
+  // Bin k of variance nfft * psd[k] lands in the time domain (the inverse
+  // FFT scales by 1/N) with per-sample variance mean(psd).
+  const auto nfft = static_cast<double>(psd.size());
+  std::vector<double> scale(psd.size());
+  for (std::size_t k = 0; k < psd.size(); ++k) {
+    scale[k] = component_scale(nfft * psd[k], "interference psd");
+  }
+  if (!psd.empty() && !interference_plans_.contains(psd.size())) {
+    interference_plans_.emplace(psd.size(), FftPlan(psd.size()));
+  }
+  node.interference_psd = std::move(psd);
+  node.interference_scale = std::move(scale);
 }
 
 const std::vector<double>& Medium::interference(NodeId rx) const {
@@ -117,42 +143,27 @@ void Medium::draw_noise(Node& rxn, cvec& y) {
   // Thermal noise: pair k of the node's white stream is one complex
   // sample, scaled to E|y|^2 = noise_var.
   const std::size_t n = y.size();
-  const double s = std::sqrt(rxn.noise_var / 2.0);
-  if (!(s >= 0.0) || !std::isfinite(s)) {
-    throw std::invalid_argument("Medium: noise_var must be finite and >= 0");
-  }
   for (std::size_t m = 0; m < n; ++m) {
-    y[m] = s * gaussian_pair(rxn.white_key, rxn.white_draws + m);
+    y[m] = rxn.white_scale * gaussian_pair(rxn.white_key, rxn.white_draws + m);
   }
   rxn.white_draws += n;
 
   // Inter-cell interference as shaped noise: draw each FFT bin at the
   // installed per-subcarrier power from the node's interference stream
-  // and transform one block at a time. Bin k of variance nfft * psd[k]
-  // lands in the time domain (the inverse FFT scales by 1/N) with
-  // per-sample variance mean(psd) — a flat psd of v raises the white
+  // and transform one block at a time — a flat psd of v raises the white
   // floor by exactly v.
-  if (rxn.interference_psd.empty()) return;
-  const std::vector<double>& psd = rxn.interference_psd;
-  const std::size_t nfft = psd.size();
-  auto plan = interference_plans_.find(nfft);
-  if (plan == interference_plans_.end()) {
-    plan = interference_plans_.emplace(nfft, FftPlan(nfft)).first;
-  }
-  const auto nfft_d = static_cast<double>(nfft);
+  const std::vector<double>& scale = rxn.interference_scale;
+  if (scale.empty()) return;
+  const std::size_t nfft = scale.size();
+  const FftPlan& plan = interference_plans_.find(nfft)->second;
   bins_.resize(nfft);
   for (std::size_t start = 0; start < n; start += nfft) {
     for (std::size_t k = 0; k < nfft; ++k) {
-      const double sk = std::sqrt(nfft_d * psd[k] / 2.0);
-      if (!(sk >= 0.0) || !std::isfinite(sk)) {
-        throw std::invalid_argument(
-            "Medium: interference psd must be finite and >= 0");
-      }
-      bins_[k] = sk * gaussian_pair(rxn.interference_key,
-                                    rxn.interference_draws + k);
+      bins_[k] = scale[k] * gaussian_pair(rxn.interference_key,
+                                          rxn.interference_draws + k);
     }
     rxn.interference_draws += nfft;
-    plan->second.inverse(bins_);
+    plan.inverse(bins_);
     const std::size_t len = std::min(nfft, n - start);
     for (std::size_t i = 0; i < len; ++i) y[start + i] += bins_[i];
   }

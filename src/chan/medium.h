@@ -109,6 +109,11 @@ class Medium {
     double noise_var = 1.0;
     /// Empty = no inter-cell interference (no interference draws).
     std::vector<double> interference_psd;
+    /// What draw_noise() multiplies each unit-variance pair by, set with
+    /// noise_var and interference_psd: sqrt(noise_var / 2) for the white
+    /// floor and sqrt(nfft * psd[k] / 2) for interference bin k.
+    double white_scale = 0.0;
+    std::vector<double> interference_scale;
     /// Counter-stream keys (white floor, interference bins) and the number
     /// of complex values each stream has drawn so far.
     std::uint64_t white_key = 0;
@@ -140,8 +145,8 @@ class Medium {
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<FadingChannel>> links_;
   std::vector<Transmission> transmissions_;
   std::uint64_t noise_key_ = 0;  ///< splitmix64(noise_seed)
-  /// Inverse-FFT plans for interference blocks, by psd size, and the one
-  /// block buffer they transform.
+  /// Inverse-FFT plans for interference blocks, by psd size (made by
+  /// set_interference()), and the one block buffer they transform.
   std::map<std::size_t, FftPlan> interference_plans_;
   cvec bins_;
 };

@@ -834,6 +834,27 @@ TEST(Medium, InterferencePsdRaisesTheNoiseFloor) {
   EXPECT_NEAR(mean_power(noisy), 3e-3, 4e-4);
 }
 
+TEST(Medium, NoiseSettingsAreCheckedWhenSet) {
+  // A noise power that is not finite and >= 0 is rejected by the setter,
+  // which leaves the node as it was.
+  Medium medium({});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(medium.add_node({}, nan), std::invalid_argument);
+  EXPECT_THROW(medium.add_node({}, -1e-3), std::invalid_argument);
+  const NodeId rx = medium.add_node({}, 1e-3);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(medium.set_noise_var(rx, inf), std::invalid_argument);
+  EXPECT_EQ(medium.noise_var(rx), 1e-3);
+  medium.set_interference(rx, std::vector<double>(8, 1e-3));
+  std::vector<double> bad(8, 1e-3);
+  bad[3] = nan;
+  EXPECT_THROW(medium.set_interference(rx, bad), std::invalid_argument);
+  bad[3] = -1e-3;
+  EXPECT_THROW(medium.set_interference(rx, bad), std::invalid_argument);
+  EXPECT_EQ(medium.interference(rx), std::vector<double>(8, 1e-3));
+  EXPECT_EQ(medium.receive(rx, 0.0, 20).size(), 20u);
+}
+
 TEST(Medium, NonFiniteStartTimeIsRejected) {
   // A NaN start time used to pass every range guard and reach undefined
   // behaviour in the interpolator's index conversion.
