@@ -325,4 +325,19 @@ bool write_text_file(const std::string& path, const std::string& text) {
   return ok;
 }
 
+bool read_text_file(const std::string& path, std::string& out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
+    return false;
+  }
+  char buf[1 << 14];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!ok) std::fprintf(stderr, "error: read failure on '%s'\n", path.c_str());
+  return ok;
+}
+
 }  // namespace jmb::obs

@@ -144,4 +144,8 @@ std::vector<std::string> validate_schema(const JsonValue& schema,
 /// on failure.
 bool write_text_file(const std::string& path, const std::string& text);
 
+/// Append the contents of `path` to `out`; returns false (and an error
+/// note on stderr) if the file cannot be opened or read.
+bool read_text_file(const std::string& path, std::string& out);
+
 }  // namespace jmb::obs

@@ -31,26 +31,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/json.h"
 
 namespace {
 
 using jmb::obs::JsonValue;
-
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path);
-    return false;
-  }
-  char buf[1 << 14];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "error: read failure on '%s'\n", path);
-  return ok;
-}
 
 std::string dump_of(const JsonValue* v) { return v ? v->dump() : "<absent>"; }
 
@@ -162,7 +148,7 @@ int main(int argc, char** argv) {
 
   std::string base_text;
   std::string cand_text;
-  if (!read_file(files[0], base_text) || !read_file(files[1], cand_text)) {
+  if (!jmb::obs::read_text_file(files[0], base_text) || !jmb::obs::read_text_file(files[1], cand_text)) {
     return 2;
   }
   std::string err;

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/json.h"
 
 namespace {
@@ -30,21 +31,6 @@ struct Band {
   double lo = 0.0;
   double hi = 0.0;
 };
-
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path);
-    return false;
-  }
-  char buf[1 << 14];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "error: read failure on '%s'\n", path);
-  return ok;
-}
 
 bool parse_double(const std::string& text, double& out) {
   if (text.empty()) return false;
@@ -120,7 +106,7 @@ int main(int argc, char** argv) {
   std::vector<JsonValue> docs;
   for (const char* path : files) {
     std::string text;
-    if (!read_file(path, text)) return 2;
+    if (!jmb::obs::read_text_file(path, text)) return 2;
     std::string err;
     JsonValue doc = jmb::obs::parse_json(text, &err);
     if (doc.is_null()) {

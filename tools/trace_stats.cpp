@@ -19,26 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/json.h"
 
 namespace {
 
 using jmb::obs::JsonValue;
-
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path);
-    return false;
-  }
-  char buf[1 << 14];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "error: read failure on '%s'\n", path);
-  return ok;
-}
 
 struct NameAgg {
   std::uint64_t count = 0;
@@ -77,7 +63,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::string text;
-  if (!read_file(argv[1], text)) return 2;
+  if (!jmb::obs::read_text_file(argv[1], text)) return 2;
   std::string err;
   const JsonValue doc = jmb::obs::parse_json(text, &err);
   if (doc.is_null()) {

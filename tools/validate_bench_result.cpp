@@ -13,24 +13,9 @@
 
 namespace {
 
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path);
-    return false;
-  }
-  char buf[1 << 14];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "error: read failure on '%s'\n", path);
-  return ok;
-}
-
 jmb::obs::JsonValue parse_or_die(const char* path, bool& ok) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!jmb::obs::read_text_file(path, text)) {
     ok = false;
     return {};
   }
