@@ -148,7 +148,8 @@ int main(int argc, char** argv) {
 
   std::string base_text;
   std::string cand_text;
-  if (!jmb::obs::read_text_file(files[0], base_text) || !jmb::obs::read_text_file(files[1], cand_text)) {
+  if (!jmb::obs::read_text_file(files[0], base_text) ||
+      !jmb::obs::read_text_file(files[1], cand_text)) {
     return 2;
   }
   std::string err;
